@@ -5,13 +5,10 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use tmk_bench::driver::{registry, run_engine_bench, run_suite, Options, Tier};
-use tmk_sim::EngineKind;
+use tmk_bench::driver::{registry, run_suite, Options, Tier};
 
 const USAGE: &str = "\
 usage: suite [OPTIONS]
-       suite engine-bench [--quick] [--jobs N] [--json] [--out DIR]
-                          [--require-speedup X]
        suite trace-diff A.json B.json
 
   --experiment ID   run only this experiment (repeatable; default: all
@@ -20,9 +17,6 @@ usage: suite [OPTIONS]
                     contains SUBSTR (repeatable)
   --jobs N          worker threads (default: one per host core)
   --quick           CI smoke tier: tiny inputs, 1-4 processors
-  --engine KIND     execution backend: `coop` (single-threaded event loop,
-                    the default) or `threaded` (one OS thread per simulated
-                    processor); simulated results are byte-identical
   --json            also write results/<experiment>.{txt,json} and
                     BENCH_results.json
   --out DIR         output directory for --json text/records (default: results)
@@ -32,16 +26,9 @@ usage: suite [OPTIONS]
                     `breakdown` experiment) into DIR; load the files in
                     Perfetto or chrome://tracing
   --op-trace DIR    record the engine op trace — one `pid clock` line per
-                    sync operation — into DIR/<run>.ops.txt (the CLI form
-                    of the TMK_ENGINE_TRACE environment variable)
+                    sync operation — into DIR/<run>.ops.txt
   --list            list experiments and sections, then exit
   -h, --help        this help
-
-  engine-bench      run every default experiment on both engines (at
-                    --jobs 1 by default), compare host time per run, verify
-                    byte-identical simulated results; --json writes
-                    results/engine_bench.{json,txt}; --require-speedup X
-                    fails unless coop is at least X times faster overall
 
   trace-diff A B    compare two recorded traces; prints `no divergence`
                     or the first event where the executions differ
@@ -52,82 +39,6 @@ fn file_stem(key: &str) -> String {
     key.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
         .collect()
-}
-
-/// `suite engine-bench ...`: both engines over the default registry.
-fn engine_bench(args: &[String]) -> ! {
-    let mut tier = Tier::Full;
-    let mut jobs = 1usize; // isolate engine speed from host parallelism
-    let mut emit_json = false;
-    let mut out_dir = "results".to_string();
-    let mut require_speedup: Option<f64> = None;
-
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--quick" => tier = Tier::Quick,
-            "--jobs" => {
-                let v = value("--jobs");
-                jobs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs wants a number, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
-            "--json" => emit_json = true,
-            "--out" => out_dir = value("--out"),
-            "--require-speedup" => {
-                let v = value("--require-speedup");
-                require_speedup = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--require-speedup wants a number, got '{v}'");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown engine-bench argument '{other}'\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let bench = run_engine_bench(tier, jobs);
-    print!("{}", bench.render_text());
-
-    if emit_json {
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("cannot create {out_dir}: {e}");
-            std::process::exit(2);
-        }
-        let json = Path::new(&out_dir).join("engine_bench.json");
-        let txt = Path::new(&out_dir).join("engine_bench.txt");
-        let r = std::fs::write(&json, bench.to_json().render_pretty(2))
-            .and_then(|()| std::fs::write(&txt, bench.render_text()));
-        if let Err(e) = r {
-            eprintln!("cannot write {}: {e}", json.display());
-            std::process::exit(2);
-        }
-    }
-
-    let bad = bench.mismatches();
-    if !bad.is_empty() {
-        eprintln!("engine-bench: {} runs differ across engines", bad.len());
-        std::process::exit(1);
-    }
-    if let Some(min) = require_speedup {
-        let got = bench.speedup();
-        if got < min {
-            eprintln!(
-                "engine-bench: coop speedup {got:.2}x is below the required {min:.2}x"
-            );
-            std::process::exit(1);
-        }
-    }
-    std::process::exit(0);
 }
 
 /// `suite trace-diff a.json b.json`: structural comparison of two recorded
@@ -163,9 +74,6 @@ fn main() {
     if argv.first().map(String::as_str) == Some("trace-diff") {
         trace_diff(&argv[1..]);
     }
-    if argv.first().map(String::as_str) == Some("engine-bench") {
-        engine_bench(&argv[1..]);
-    }
 
     let mut opts = Options::default();
     let mut emit_json = false;
@@ -192,13 +100,6 @@ fn main() {
                 });
             }
             "--quick" => opts.tier = Tier::Quick,
-            "--engine" => {
-                let v = value("--engine");
-                opts.engine = EngineKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--engine wants `threaded` or `coop`, got '{v}'");
-                    std::process::exit(2);
-                });
-            }
             "--json" => emit_json = true,
             "--out" => out_dir = value("--out"),
             "--bench-json" => bench_json = Some(value("--bench-json")),

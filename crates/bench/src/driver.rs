@@ -11,17 +11,16 @@
 //!   [`JobRequest::key`]; equal keys are interchangeable runs, so repeated
 //!   baselines (the DEC uniprocessor time appears in Table 1 and all eight
 //!   of Figures 1–8) simulate **once** and memoize.
-//! * [`run_jobs`] — fans unique jobs across `jobs` crossbeam scoped worker
-//!   threads; each job runs under `catch_unwind` so a panicking simulation
-//!   becomes a failed record, not a dead sweep, and records host wall time.
+//! * [`run_jobs`] — fans unique jobs across `jobs` scoped worker threads;
+//!   each job runs under `catch_unwind` so a panicking simulation becomes a
+//!   failed record, not a dead sweep, and records host wall time.
 //! * [`registry`] — the experiments; each section lists its requests and
 //!   renders its text from the memo table, byte-identical to the historical
 //!   per-binary output on the [`Tier::Full`] tier.
 //! * [`run_suite`] — selection (`--experiment`, `--filter`), scheduling,
 //!   rendering, and the `BENCH_results.json` / `results/*.json` records.
 //!
-//! The eight legacy binaries are thin shims over [`shim_main`]; the `suite`
-//! binary exposes the full CLI.
+//! The `suite` binary exposes the full CLI.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -33,12 +32,11 @@ use std::time::Instant;
 use tmk_apps::{ilink, sor, tsp, water};
 use tmk_core::RetransmitPolicy;
 use tmk_machines::{
-    run_workload_traced, set_engine_kind, set_op_trace, DsmProtocol, DsmTuning, Json, Outcome,
-    Platform, RunReport,
+    run_workload_traced, set_op_trace, DsmProtocol, DsmTuning, Json, Outcome, Platform, RunReport,
 };
 use tmk_net::{FaultPlan, SoftwareOverhead};
 use tmk_parmacs::Workload;
-use tmk_sim::{Cycle, EngineKind};
+use tmk_sim::Cycle;
 use tmk_trace::{Category, TraceBuf, NCAT};
 
 use crate::fmt_secs;
@@ -407,7 +405,6 @@ fn run_service_traced(
     let run = RunReport {
         procs: spec.nodes,
         clock_hz: 1_000_000,
-        engine: tmk_machines::engine_kind(),
         host_ms,
         cycles: report.makespan_us,
         proc_cycles: vec![report.makespan_us; spec.nodes],
@@ -492,8 +489,8 @@ pub struct RunData {
     /// Tracer output, when the request was [`JobRequest::traced`].
     pub trace: Option<TraceData>,
     /// The engine op trace — `(processor, clock)` per sync operation in
-    /// execution order — when `suite --op-trace` (or `TMK_ENGINE_TRACE`)
-    /// armed it. `None` otherwise.
+    /// execution order — when `suite --op-trace` armed it. `None`
+    /// otherwise.
     pub op_trace: Option<Arc<Vec<(usize, Cycle)>>>,
 }
 
@@ -559,14 +556,13 @@ impl MemoTable {
 
 /// The simulated (host-independent) portion of one run record: the full
 /// report plus checksums, op trace and attribution ledger, with the
-/// host-side `engine` and `host_ms` fields normalized away. Byte-equal
-/// strings mean two runs simulated identically — the cross-engine parity
-/// predicate used by `suite engine-bench` and the driver tests.
+/// host-side `host_ms` field normalized away. Byte-equal strings mean two
+/// runs simulated identically — the predicate the driver tests use to
+/// compare worker counts and to check runs against committed digests.
 pub fn sim_record(r: &JobResult) -> String {
     match &r.data {
         Ok(d) => {
             let mut report = d.report.clone();
-            report.engine = EngineKind::default();
             report.host_ms = 0.0;
             let mut s = format!(
                 "{}|checksums={:?}|ops={:?}",
@@ -649,13 +645,13 @@ pub fn run_jobs_traced(requests: &[JobRequest], jobs: usize, ring_cap: usize) ->
 
     let jobs = resolve_jobs(jobs).min(unique.len().max(1));
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    crossbeam::thread::scope(|s| {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
         for _ in 0..jobs {
             let tx = tx.clone();
             let next = &next;
             let unique = &unique;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= unique.len() {
                     break;
@@ -665,8 +661,7 @@ pub fn run_jobs_traced(requests: &[JobRequest], jobs: usize, ring_cap: usize) ->
                 let _ = tx.send(execute(&unique[i], ring_cap));
             });
         }
-    })
-    .expect("worker threads do not panic");
+    });
     drop(tx);
 
     let mut map = HashMap::new();
@@ -2548,8 +2543,8 @@ fn calibrate(tier: Tier) -> Experiment {
 }
 
 /// Large-cluster scaling: SOR and TSP on the AS and HS designs out to 256
-/// nodes — machine sizes the per-processor-thread engine could not touch,
-/// practical on the cooperative event loop. Extends the Figure 9/10 curves
+/// nodes, practical because the engine runs every simulated processor as a
+/// coroutine on one host thread. Extends the Figure 9/10 curves
 /// (whose 64-processor points memoize with this experiment's smallest size).
 fn scaling256(tier: Tier) -> Experiment {
     // (AS node counts, HS (nodes, per_node) shapes, speedup base = AS-1).
@@ -2951,13 +2946,9 @@ pub struct Options {
     pub experiments: Vec<String>,
     /// Substring filters over full `experiment/section` names.
     pub filters: Vec<String>,
-    /// Substring filters over section ids only (legacy `--fig`/`--app`).
-    pub section_filters: Vec<String>,
     /// Directory for Chrome trace-event JSON files; also switches traced
     /// runs from ledger-only to full event recording.
     pub trace_dir: Option<String>,
-    /// Execution backend every simulation runs on (`suite --engine`).
-    pub engine: EngineKind,
     /// Directory for engine op-trace text files (`suite --op-trace`); also
     /// arms op tracing on every run.
     pub op_trace_dir: Option<String>,
@@ -2998,8 +2989,6 @@ pub struct SuiteResult {
     pub tier: Tier,
     /// Worker threads used.
     pub jobs: usize,
-    /// Execution backend the simulations ran on.
-    pub engine: EngineKind,
     /// Rendered experiments in registry order.
     pub experiments: Vec<ExperimentOutcome>,
     /// Every unique run, sorted by memo key.
@@ -3046,7 +3035,6 @@ impl SuiteResult {
             .set("schema", "tmk-bench/1")
             .set("tier", self.tier.as_str())
             .set("jobs", self.jobs)
-            .set("engine", self.engine.as_str())
             .set("host_parallelism", host)
             .set(
                 "experiments",
@@ -3198,7 +3186,6 @@ fn run_json(r: &JobResult) -> Json {
 /// fatal.
 pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
     let started = std::time::Instant::now();
-    set_engine_kind(opts.engine);
     set_op_trace(opts.op_trace_dir.is_some());
     let mut registry = registry(opts.tier);
     let known: Vec<&str> = registry.iter().map(|e| e.id).collect();
@@ -3219,25 +3206,18 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
     });
 
     // Select sections, then drop experiments left empty.
-    let no_filters = opts.filters.is_empty() && opts.section_filters.is_empty();
-    for exp in &mut registry {
-        let exp_id = exp.id;
-        exp.sections.retain(|sec| {
-            if no_filters {
-                return true;
-            }
-            let sec_id = if sec.id.is_empty() { exp_id } else { sec.id };
-            let full = if sec.id.is_empty() {
-                exp_id.to_string()
-            } else {
-                format!("{exp_id}/{}", sec.id)
-            };
-            opts.filters.iter().any(|f| full.contains(f.as_str()))
-                || opts
-                    .section_filters
-                    .iter()
-                    .any(|f| sec_id.contains(f.as_str()))
-        });
+    if !opts.filters.is_empty() {
+        for exp in &mut registry {
+            let exp_id = exp.id;
+            exp.sections.retain(|sec| {
+                let full = if sec.id.is_empty() {
+                    exp_id.to_string()
+                } else {
+                    format!("{exp_id}/{}", sec.id)
+                };
+                opts.filters.iter().any(|f| full.contains(f.as_str()))
+            });
+        }
     }
     registry.retain(|e| !e.sections.is_empty());
 
@@ -3295,278 +3275,10 @@ pub fn run_suite(opts: &Options) -> Result<SuiteResult, String> {
     Ok(SuiteResult {
         tier: opts.tier,
         jobs,
-        engine: opts.engine,
         experiments,
         runs: memo.sorted_runs().into_iter().cloned().collect(),
         requests: total_requests,
         memo_hits: memo.hits,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
     })
-}
-
-/// Entry point for the legacy per-experiment binaries: run one experiment at
-/// the full tier, print its text, and exit non-zero on any failure.
-///
-/// Bare arguments and the legacy `--fig N` / `--app NAME` flags become
-/// section filters, so e.g. `fig01_08 --fig 3` still prints only Figure 3.
-pub fn shim_main(experiment: &'static str) -> ! {
-    let mut section_filters = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--fig" => {
-                let n = args.next().unwrap_or_default();
-                section_filters.push(format!("fig{n}"));
-            }
-            "--app" => section_filters.push(args.next().unwrap_or_default()),
-            other => section_filters.push(other.trim_start_matches('-').to_string()),
-        }
-    }
-    let opts = Options {
-        tier: Tier::Full,
-        jobs: 0,
-        experiments: vec![experiment.to_string()],
-        section_filters,
-        ..Default::default()
-    };
-    match run_suite(&opts) {
-        Ok(suite) => {
-            for e in &suite.experiments {
-                print!("{}", e.text);
-            }
-            if suite.ok() {
-                std::process::exit(0);
-            }
-            for k in suite.failed_runs() {
-                eprintln!("failed run: {k}");
-            }
-            for s in suite.failed_sections() {
-                eprintln!("failed section: {s}");
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-engine host-time benchmark
-// ---------------------------------------------------------------------------
-
-/// One unique run of the cross-engine benchmark: the same simulation
-/// executed on both backends.
-#[derive(Debug)]
-pub struct EngineBenchRow {
-    /// The memo key.
-    pub key: String,
-    /// [`Platform::key`] of the platform.
-    pub platform: String,
-    /// Application name.
-    pub workload: String,
-    /// Processors simulated.
-    pub procs: usize,
-    /// Host milliseconds on the threaded engine.
-    pub threaded_ms: f64,
-    /// Host milliseconds on the cooperative engine.
-    pub coop_ms: f64,
-    /// Whether the two engines produced byte-identical simulated records
-    /// ([`sim_record`]).
-    pub parity: bool,
-}
-
-/// Results of `suite engine-bench`: every default-registry run executed on
-/// both engines, with host times and a result-parity verdict per run.
-#[derive(Debug)]
-pub struct EngineBench {
-    /// Tier the benchmark ran at.
-    pub tier: Tier,
-    /// Worker threads used (1 isolates engine speed from host parallelism).
-    pub jobs: usize,
-    /// Per-run comparisons, sorted by memo key.
-    pub rows: Vec<EngineBenchRow>,
-    /// Host wall-clock for the whole threaded pass, milliseconds.
-    pub threaded_wall_ms: f64,
-    /// Host wall-clock for the whole cooperative pass, milliseconds.
-    pub coop_wall_ms: f64,
-    /// Experiment ids left out of the comparison.
-    pub excluded: Vec<&'static str>,
-}
-
-impl EngineBench {
-    /// Full-pass host-wall speedup of the cooperative engine.
-    pub fn speedup(&self) -> f64 {
-        self.threaded_wall_ms / self.coop_wall_ms.max(1e-9)
-    }
-
-    /// Memo keys whose simulated records differ between engines (must be
-    /// empty).
-    pub fn mismatches(&self) -> Vec<&str> {
-        self.rows
-            .iter()
-            .filter(|r| !r.parity)
-            .map(|r| r.key.as_str())
-            .collect()
-    }
-
-    /// The machine-readable record (`results/engine_bench.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("schema", "tmk-engine-bench/1")
-            .set("tier", self.tier.as_str())
-            .set("jobs", self.jobs)
-            .set("threaded_wall_ms", self.threaded_wall_ms)
-            .set("coop_wall_ms", self.coop_wall_ms)
-            .set("speedup", self.speedup())
-            .set("parity_ok", self.mismatches().is_empty())
-            .set(
-                "excluded_experiments",
-                Json::Arr(self.excluded.iter().map(|&e| Json::from(e)).collect()),
-            )
-            .set(
-                "runs",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj()
-                                .set("key", r.key.as_str())
-                                .set("platform", r.platform.as_str())
-                                .set("workload", r.workload.as_str())
-                                .set("procs", r.procs)
-                                .set("threaded_ms", r.threaded_ms)
-                                .set("coop_ms", r.coop_ms)
-                                .set("speedup", r.threaded_ms / r.coop_ms.max(1e-9))
-                                .set("parity", r.parity)
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    /// The text table (`results/engine_bench.txt`).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        writeln!(
-            out,
-            "Execution-backend benchmark: every default {} -tier run on the \
-             threaded and\ncooperative engines ({} worker{}). Simulated \
-             results must be byte-identical;\nonly host time may differ.",
-            self.tier.as_str(),
-            self.jobs,
-            if self.jobs == 1 { "" } else { "s" },
-        )
-        .unwrap();
-        if !self.excluded.is_empty() {
-            writeln!(
-                out,
-                "Excluded: {} (256-node runs are impractical on the threaded \
-                 engine; the service runs on real OS threads).",
-                self.excluded.join(", ")
-            )
-            .unwrap();
-        }
-        writeln!(out).unwrap();
-        writeln!(
-            out,
-            "{:<44} {:>5} {:>12} {:>12} {:>8} {:>7}",
-            "run", "procs", "threaded", "coop", "speedup", "parity"
-        )
-        .unwrap();
-        for r in &self.rows {
-            writeln!(
-                out,
-                "{:<44} {:>5} {:>10.1}ms {:>10.1}ms {:>7.2}x {:>7}",
-                r.key,
-                r.procs,
-                r.threaded_ms,
-                r.coop_ms,
-                r.threaded_ms / r.coop_ms.max(1e-9),
-                if r.parity { "ok" } else { "DIFFER" },
-            )
-            .unwrap();
-        }
-        let sum = |f: fn(&EngineBenchRow) -> f64| self.rows.iter().map(f).sum::<f64>();
-        writeln!(out).unwrap();
-        writeln!(
-            out,
-            "per-run host time: {:.1}ms threaded -> {:.1}ms coop",
-            sum(|r| r.threaded_ms),
-            sum(|r| r.coop_ms),
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "full-pass wall:    {:.1}ms threaded -> {:.1}ms coop ({:.2}x)",
-            self.threaded_wall_ms,
-            self.coop_wall_ms,
-            self.speedup(),
-        )
-        .unwrap();
-        let bad = self.mismatches();
-        if bad.is_empty() {
-            writeln!(out, "parity: all {} runs byte-identical", self.rows.len()).unwrap();
-        } else {
-            writeln!(out, "parity: {} runs DIFFER: {}", bad.len(), bad.join(", ")).unwrap();
-        }
-        out
-    }
-}
-
-/// Runs every unique default-registry request on both engines and compares
-/// host time and simulated results per run.
-pub fn run_engine_bench(tier: Tier, jobs: usize) -> EngineBench {
-    // scaling256 exists *because* 256-node runs are impractical on the
-    // threaded engine; service runs on real OS threads, so an engine
-    // comparison would measure nothing. Everything else runs on both.
-    let excluded = vec!["scaling256", "service"];
-    let mut experiments = registry(tier);
-    experiments.retain(|e| e.default && !excluded.contains(&e.id));
-    let requests: Vec<JobRequest> = experiments
-        .iter()
-        .flat_map(|e| e.sections.iter())
-        .flat_map(|s| s.requests.iter().cloned())
-        .collect();
-
-    set_op_trace(false);
-    let run_pass = |kind: EngineKind| {
-        set_engine_kind(kind);
-        let started = Instant::now();
-        let memo = run_jobs(&requests, jobs);
-        (memo, started.elapsed().as_secs_f64() * 1e3)
-    };
-    let (threaded, threaded_wall_ms) = run_pass(EngineKind::Threaded);
-    let (coop, coop_wall_ms) = run_pass(EngineKind::Coop);
-    set_engine_kind(EngineKind::default());
-
-    let rows = threaded
-        .sorted_runs()
-        .into_iter()
-        .map(|t| {
-            let c = coop
-                .map
-                .get(&t.key)
-                .expect("both passes ran the same request set");
-            EngineBenchRow {
-                key: t.key.clone(),
-                platform: t.platform.clone(),
-                workload: t.workload.clone(),
-                procs: t.procs,
-                threaded_ms: t.host_ms,
-                coop_ms: c.host_ms,
-                parity: sim_record(t) == sim_record(c),
-            }
-        })
-        .collect();
-
-    EngineBench {
-        tier,
-        jobs,
-        rows,
-        threaded_wall_ms,
-        coop_wall_ms,
-        excluded,
-    }
 }

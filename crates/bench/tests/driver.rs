@@ -1,6 +1,6 @@
 //! Integration tests for the unified experiment driver: memoization,
-//! worker-count-independent results, failed-job isolation, and the JSON
-//! records it emits.
+//! worker-count-independent results pinned to committed digests,
+//! failed-job isolation, and the JSON records it emits.
 
 use tmk_bench::driver::{
     run_jobs, run_suite, sim_record, JobRequest, Options, SuiteResult, Tier, WorkloadSpec,
@@ -16,8 +16,8 @@ fn quick_opts(jobs: usize) -> Options {
 }
 
 /// The per-run records of a suite keyed by memo key, with the host-dependent
-/// `host_ms`/`engine` fields normalized away so runs can be compared across
-/// worker counts (and engines).
+/// `host_ms` field normalized away so runs can be compared across worker
+/// counts and against the committed digests.
 fn simulated_records(suite: &SuiteResult) -> Vec<(String, String)> {
     suite
         .runs
@@ -77,6 +77,39 @@ fn suite_results_do_not_depend_on_worker_count() {
         assert_eq!(a, b, "run '{key}' differs between 1 and 8 workers");
     }
     assert!(serial.memo_hits > 0, "quick tier shares baselines");
+
+    // ...and every run matches its committed digest.
+    let actual: String = s_recs
+        .iter()
+        .map(|(key, rec)| format!("{key} {:016x}\n", fnv1a(rec)))
+        .collect();
+    if actual != QUICK_DIGESTS {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("quick_digests.txt");
+        std::fs::write(&out, &actual).unwrap();
+        let first = actual
+            .lines()
+            .zip(QUICK_DIGESTS.lines())
+            .find(|(a, g)| a != g)
+            .map_or("(run count differs)", |(a, _)| {
+                a.split(' ').next().unwrap_or("")
+            });
+        panic!(
+            "quick-tier run '{first}' no longer matches crates/bench/tests/quick_digests.txt; \
+             the actual list is in {}",
+            out.display()
+        );
+    }
+}
+
+/// `key digest` per quick-tier run, in key order: FNV-1a over each run's
+/// [`sim_record`]. Recorded when the thread-per-processor engine (since
+/// retired) and the coroutine engine agreed byte for byte on every run.
+const QUICK_DIGESTS: &str = include_str!("quick_digests.txt");
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -118,7 +151,7 @@ fn section_filters_select_single_figures() {
         tier: Tier::Quick,
         jobs: 2,
         experiments: vec!["fig01_08".into()],
-        section_filters: vec!["fig3".into()],
+        filters: vec!["fig01_08/fig3".into()],
         ..Default::default()
     })
     .unwrap();
@@ -166,30 +199,4 @@ fn service_experiment_recovers_and_sheds_loudly() {
         .filter(|r| r.get("report").and_then(|rep| rep.get("service")).is_some())
         .count();
     assert_eq!(with_service, runs.len(), "every service run reports tenants");
-}
-
-#[test]
-fn engine_bench_quick_has_parity_on_every_run() {
-    let bench = tmk_bench::driver::run_engine_bench(Tier::Quick, 2);
-    assert!(!bench.rows.is_empty());
-    assert_eq!(
-        bench.mismatches(),
-        Vec::<&str>::new(),
-        "threaded and coop engines disagreed"
-    );
-    assert!(
-        bench.excluded.contains(&"scaling256"),
-        "the 256-node experiment must not run on the threaded engine"
-    );
-    assert!(
-        bench.excluded.contains(&"service"),
-        "the real-thread service must not enter the engine comparison"
-    );
-    let j = Json::parse(&bench.to_json().render_pretty(2)).unwrap();
-    assert_eq!(
-        j.get("schema").and_then(Json::as_str),
-        Some("tmk-engine-bench/1")
-    );
-    assert_eq!(j.get("parity_ok"), Some(&Json::Bool(true)));
-    assert!(bench.render_text().contains("parity: all"));
 }

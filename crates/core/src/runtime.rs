@@ -4,7 +4,7 @@
 //! against a [`DsmNode`] handle, and a *service* thread delivers incoming
 //! protocol messages (TreadMarks serviced requests in signal handlers; a
 //! dedicated thread is the natural Rust equivalent). Messages travel over
-//! crossbeam channels. This runtime is a fully working in-process
+//! `std::sync::mpsc` channels. This runtime is a fully working in-process
 //! distributed shared memory: page copies, twins, diffs and write notices
 //! are all real.
 //!
@@ -53,10 +53,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::Traffic;
@@ -1109,7 +1109,7 @@ where
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<Wire>();
+        let (tx, rx) = channel::<Wire>();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -1330,6 +1330,22 @@ mod tests {
         Config::new(n).segment_pages(8).page_size(256)
     }
 
+    /// Run options with a 1 s base RTO: far above any host scheduling
+    /// stall, so a retransmission means a lost message, never a thread
+    /// that was descheduled while other tests ran.
+    fn patient(faults: ChannelFaults) -> RunOpts {
+        RunOpts {
+            faults,
+            policy: RetransmitPolicy {
+                timeout: 1_000_000,
+                backoff: 2,
+                max_retries: 8,
+                adaptive: None,
+            },
+            grace_ms: 50,
+        }
+    }
+
     #[test]
     fn lock_counter_across_threads() {
         let out = Dsm::run(small(4), |node| {
@@ -1445,24 +1461,20 @@ mod tests {
         // Duplicate every other cross-node message: the protocol must be
         // unaffected (effectively-once handlers) and the reliability layer
         // must report the suppressed copies.
-        let out = Dsm::run_faulty(
-            small(4),
-            ChannelFaults {
-                duplicate_every: 2,
-                ..Default::default()
-            },
-            |_| (),
-            |node, ()| {
-                for _ in 0..25 {
-                    node.lock(0);
-                    let v = node.read_u64(0);
-                    node.write_u64(0, v + 1);
-                    node.unlock(0);
-                }
-                node.barrier(0);
-                node.read_u64(0)
-            },
-        );
+        let faults = ChannelFaults {
+            duplicate_every: 2,
+            ..Default::default()
+        };
+        let out = engine(small(4), patient(faults), false, |_| (), |node, _, ()| {
+            for _ in 0..25 {
+                node.lock(0);
+                let v = node.read_u64(0);
+                node.write_u64(0, v + 1);
+                node.unlock(0);
+            }
+            node.barrier(0);
+            EpochStep::Done(node.read_u64(0))
+        });
         assert!(out.results.into_iter().all(|v| v == 100));
         assert!(
             out.reliability.dup_suppressed > 0,
@@ -1475,14 +1487,17 @@ mod tests {
     /// A deterministic lock-free program: every node publishes a slot each
     /// round and reads everyone's; the message stream (and thus each
     /// packet's `(src, dst, seq)`) does not depend on thread interleaving.
+    /// Each slot sits on its own page: with several writers on one page,
+    /// which node serves a diff request depends on what it already
+    /// fetched, so the stream would vary run to run.
     fn publish_sum(node: &DsmNode, rounds: u64) -> u64 {
         let n = node.nodes();
         let me = node.id();
         let mut acc = 0u64;
         for r in 0..rounds {
-            node.write_u64(me * 8, r * 1000 + me as u64);
+            node.write_u64(me * 256, r * 1000 + me as u64);
             node.barrier(3);
-            acc += (0..n).map(|q| node.read_u64(q * 8)).sum::<u64>();
+            acc += (0..n).map(|q| node.read_u64(q * 256)).sum::<u64>();
             node.barrier(4);
         }
         acc
@@ -1498,17 +1513,7 @@ mod tests {
         // keeps host-load-induced spurious retransmissions (which would add
         // timing-dependent attempts) out. Drop determinism is covered by
         // the pure-hash fate tests and the repair test below.
-        let faults = ChannelFaults::seeded(5).dup_rate(0.10).delay_rate(0.10, 200);
-        let opts = RunOpts {
-            faults,
-            policy: RetransmitPolicy {
-                timeout: 1_000_000,
-                backoff: 2,
-                max_retries: 8,
-                adaptive: None,
-            },
-            grace_ms: 50,
-        };
+        let opts = patient(ChannelFaults::seeded(5).dup_rate(0.10).delay_rate(0.10, 200));
         let run = || {
             engine(small(4), opts.clone(), false, |_| (), |node, _, ()| {
                 EpochStep::Done(publish_sum(node, 4))
@@ -1545,7 +1550,10 @@ mod tests {
 
     #[test]
     fn fault_free_runs_never_retransmit() {
-        let out = Dsm::run_full(small(4), |_| (), |node, ()| publish_sum(node, 4));
+        let opts = patient(ChannelFaults::default());
+        let out = engine(small(4), opts, false, |_| (), |node, _, ()| {
+            EpochStep::Done(publish_sum(node, 4))
+        });
         assert_eq!(out.reliability.retransmissions, 0);
         assert_eq!(out.reliability.timeouts, 0);
         assert_eq!(out.faults.drops + out.faults.dups + out.faults.delays, 0);

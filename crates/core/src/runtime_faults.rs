@@ -1,6 +1,6 @@
 //! Fault injection and recovery bookkeeping for the real-thread runtime.
 //!
-//! The runtime's crossbeam channels never lose messages, so faults are
+//! The runtime's in-process channels never lose messages, so faults are
 //! introduced at the transmit hook: a seeded plan of per-link drops,
 //! duplicates and delays (mirroring `tmk_net::FaultPlan` semantics), plus
 //! scheduled node crashes at `(node, epoch, op)` points. A packet's fate is

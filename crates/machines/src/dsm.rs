@@ -1202,7 +1202,7 @@ impl DsmMachine {
 mod tests {
     use super::*;
     use tmk_parmacs::SystemExt;
-    use tmk_sim::Engine;
+    use tmk_sim::CoopEngine;
 
     fn run_tuned<R: Send>(
         params: DsmParams,
@@ -1212,7 +1212,7 @@ mod tests {
         let procs = params.procs;
         let machine = DsmMachine::new(params, 1 << 16, tuning);
         let engine =
-            Engine::new(machine, procs).with_diagnostics(|m: &DsmMachine| m.diagnostics());
+            CoopEngine::new(machine, procs).with_diagnostics(|m: &DsmMachine| m.diagnostics());
         let results: parking_lot::Mutex<Vec<Option<R>>> =
             parking_lot::Mutex::new((0..procs).map(|_| None).collect());
         let r = engine.run(|ctx| {
@@ -1402,7 +1402,7 @@ mod tests {
         };
         let machine = DsmMachine::new(DsmParams::as_sim(2), 1 << 16, &tuning);
         let engine =
-            Engine::new(machine, 2).with_diagnostics(|m: &DsmMachine| m.diagnostics());
+            CoopEngine::new(machine, 2).with_diagnostics(|m: &DsmMachine| m.diagnostics());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run(|ctx| {
                 let sys = DsmSys::new(ctx);
@@ -1545,7 +1545,7 @@ mod tests {
         };
         let machine = DsmMachine::new(DsmParams::as_sim(4), 1 << 16, &tuning);
         let engine =
-            Engine::new(machine, 4).with_diagnostics(|m: &DsmMachine| m.diagnostics());
+            CoopEngine::new(machine, 4).with_diagnostics(|m: &DsmMachine| m.diagnostics());
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run(|ctx| {
                 let sys = DsmSys::new(ctx);

@@ -191,12 +191,10 @@ impl HsMachine {
         let block = self.params.cache.block;
         let first = page * ps / block;
         let last = ((page + 1) * ps - 1) / block;
-        for cpu in 0..self.params.per_node {
-            for line in first..=last {
-                // Re-fill cost shows up as later misses; state change only.
-                let _ = cpu;
-                self.buses[node].purge_line(line as u64);
-            }
+        for line in first..=last {
+            // Invalidates the line in every cache on the node's bus. Re-fill
+            // cost shows up as later misses; state change only.
+            self.buses[node].purge_line(line as u64);
         }
     }
 }

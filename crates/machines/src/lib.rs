@@ -27,6 +27,5 @@ pub use hybrid::{HsMachine, HsParams};
 pub use json::Json;
 pub use report::{Outcome, RecoveryStats, RunReport};
 pub use run::{
-    engine_kind, run_on, run_on_traced, run_on_traced_with, run_workload, run_workload_traced,
-    run_workload_traced_with, set_engine_kind, set_op_trace, DsmTuning, Platform,
+    run_on, run_on_traced, run_workload, run_workload_traced, set_op_trace, DsmTuning, Platform,
 };

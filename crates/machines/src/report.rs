@@ -15,8 +15,8 @@ pub struct Outcome<R> {
     /// The measurements.
     pub report: RunReport,
     /// The engine's op trace — `(processor, clock)` at each sync-op start,
-    /// in execution order — when armed via `suite --op-trace` /
-    /// `TMK_ENGINE_TRACE`. Empty otherwise.
+    /// in execution order — when armed via `suite --op-trace`
+    /// ([`set_op_trace`](crate::set_op_trace)). Empty otherwise.
     pub op_trace: Vec<(usize, Cycle)>,
 }
 
@@ -27,9 +27,6 @@ pub struct RunReport {
     pub procs: usize,
     /// Processor clock, Hz (turns cycles into seconds).
     pub clock_hz: u64,
-    /// Which execution backend produced the run. Simulated measurements are
-    /// byte-identical across backends; recorded for engine benchmarking.
-    pub engine: tmk_sim::EngineKind,
     /// Host wall-clock time spent inside the engine, in milliseconds.
     pub host_ms: f64,
     /// Execution time in cycles (slowest processor).
@@ -127,7 +124,6 @@ impl RunReport {
         let mut j = Json::obj()
             .set("procs", self.procs)
             .set("clock_hz", self.clock_hz)
-            .set("engine", self.engine.as_str())
             .set("host_ms", self.host_ms)
             .set("cycles", self.cycles)
             .set("mark_cycles", self.mark_cycles)

@@ -1,6 +1,6 @@
 //! One entry point to run an application on any of the five platforms.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 
 use tmk_net::SoftwareOverhead;
 use tmk_parmacs::{Alloc, InitWriter, System};
-use tmk_sim::{AnyEngine, EngineKind};
+use tmk_sim::CoopEngine;
 use tmk_trace::{Sink, TraceBuf};
 
 use crate::dsm::{DsmMachine, DsmParams, DsmSys};
@@ -16,45 +16,8 @@ use crate::hw::{HwMachine, HwParams, HwSys};
 use crate::hybrid::{HsMachine, HsParams, HsSys};
 use crate::{Outcome, RunReport};
 
-/// Which execution backend the `run_*` entry points use when the caller
-/// does not pick one explicitly: 0 = threaded, 1 = coop, 2 = unset (read
-/// the `TMK_ENGINE` environment variable on first use, default coop).
-static ENGINE_KIND: AtomicU8 = AtomicU8::new(2);
-
-/// Arms the engine op trace on every run (the `suite --op-trace` flag; the
-/// `TMK_ENGINE_TRACE` environment variable remains a fallback, read by the
-/// engines themselves).
+/// Arms the engine op trace on every run (the `suite --op-trace` flag).
 static OP_TRACE: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide default execution backend for [`run_on`] and friends.
-///
-/// Resolution order: [`set_engine_kind`] if called, else the `TMK_ENGINE`
-/// environment variable (`threaded` | `coop`), else [`EngineKind::Coop`].
-/// The choice never affects simulated results — only host-side execution —
-/// so it deliberately does not contribute to [`Platform::key`].
-pub fn engine_kind() -> EngineKind {
-    match ENGINE_KIND.load(Ordering::Relaxed) {
-        0 => EngineKind::Threaded,
-        1 => EngineKind::Coop,
-        _ => {
-            let kind = std::env::var("TMK_ENGINE")
-                .ok()
-                .and_then(|s| EngineKind::parse(&s))
-                .unwrap_or_default();
-            set_engine_kind(kind);
-            kind
-        }
-    }
-}
-
-/// Overrides the process-wide default backend (see [`engine_kind`]).
-pub fn set_engine_kind(kind: EngineKind) {
-    let v = match kind {
-        EngineKind::Threaded => 0,
-        EngineKind::Coop => 1,
-    };
-    ENGINE_KIND.store(v, Ordering::Relaxed);
-}
 
 /// Arms (or disarms) the engine op trace for every subsequent run; traced
 /// ops come back in [`Outcome::op_trace`].
@@ -365,28 +328,6 @@ where
     FI: FnOnce(&P, &mut dyn InitWriter),
     FB: Fn(&dyn System, &P) -> R + Send + Sync,
 {
-    run_on_traced_with(engine_kind(), platform, segment_bytes, plan, init, body, trace)
-}
-
-/// [`run_on_traced`] on an explicitly chosen execution backend, bypassing
-/// the process-wide default. Results are byte-identical across backends;
-/// only `Outcome::report::{engine, host_ms}` differ.
-pub fn run_on_traced_with<P, R, FP, FI, FB>(
-    engine: EngineKind,
-    platform: &Platform,
-    segment_bytes: usize,
-    plan: FP,
-    init: FI,
-    body: FB,
-    trace: Option<usize>,
-) -> (Outcome<R>, Option<Arc<TraceBuf>>)
-where
-    P: Send + Sync,
-    R: Send,
-    FP: FnOnce(&mut Alloc) -> P,
-    FI: FnOnce(&P, &mut dyn InitWriter),
-    FB: Fn(&dyn System, &P) -> R + Send + Sync,
-{
     let mut alloc = Alloc::new(segment_bytes);
     let p = plan(&mut alloc);
     let buf = trace.map(|cap| Arc::new(TraceBuf::new(platform.procs(), cap)));
@@ -395,12 +336,12 @@ where
         Platform::Dec => {
             let mut machine = HwMachine::new(HwParams::dec_5000_240(), segment_bytes);
             init(&p, &mut machine);
-            run_hw(engine, machine, 1, &p, body, buf.clone())
+            run_hw(machine, 1, &p, body, buf.clone())
         }
         Platform::Sgi { procs } => {
             let mut machine = HwMachine::new(HwParams::sgi_4d480(*procs), segment_bytes);
             init(&p, &mut machine);
-            run_hw(engine, machine, *procs, &p, body, buf.clone())
+            run_hw(machine, *procs, &p, body, buf.clone())
         }
         Platform::Ah { procs, faults } => {
             let mut machine = HwMachine::new(HwParams::ah(*procs), segment_bytes);
@@ -408,7 +349,7 @@ where
                 machine.set_fabric_faults(tmk_mem::FabricFaults::new(f.seed, f.drop));
             }
             init(&p, &mut machine);
-            run_hw(engine, machine, *procs, &p, body, buf.clone())
+            run_hw(machine, *procs, &p, body, buf.clone())
         }
         Platform::AsCluster {
             procs,
@@ -426,7 +367,7 @@ where
             }
             let mut machine = DsmMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine);
-            run_dsm(engine, machine, *procs, &p, body, buf.clone())
+            run_dsm(machine, *procs, &p, body, buf.clone())
         }
         Platform::Hs {
             nodes,
@@ -441,7 +382,7 @@ where
             let procs = params.procs();
             let mut machine = HsMachine::new(params, segment_bytes, tuning);
             init(&p, &mut machine);
-            run_hs(engine, machine, procs, &p, body, buf.clone())
+            run_hs(machine, procs, &p, body, buf.clone())
         }
     };
     (out, buf)
@@ -473,7 +414,6 @@ fn collect<R>(results: Mutex<Vec<Option<R>>>) -> Vec<R> {
 }
 
 fn run_hw<P, R, FB>(
-    engine: EngineKind,
     mut machine: HwMachine,
     procs: usize,
     p: &P,
@@ -488,11 +428,8 @@ where
     if let Some(buf) = &trace {
         machine.set_tracer(Sink::new(buf.clone()));
     }
-    let kind = engine;
-    let mut engine = AnyEngine::new(engine, machine, procs);
-    if OP_TRACE.load(Ordering::Relaxed) {
-        engine = engine.with_op_trace(true);
-    }
+    let mut engine =
+        CoopEngine::new(machine, procs).with_op_trace(OP_TRACE.load(Ordering::Relaxed));
     if let Some(buf) = &trace {
         engine = engine.with_tracer(buf.clone());
     }
@@ -506,7 +443,6 @@ where
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {
         procs,
-        engine: kind,
         host_ms,
         cycles: run.time(),
         proc_cycles: run.clocks.clone(),
@@ -522,7 +458,6 @@ where
 }
 
 fn run_dsm<P, R, FB>(
-    engine: EngineKind,
     mut machine: DsmMachine,
     procs: usize,
     p: &P,
@@ -538,12 +473,9 @@ where
         machine.set_tracer(Sink::new(buf.clone()));
     }
     let budget = machine.watchdog_budget;
-    let kind = engine;
-    let mut engine =
-        AnyEngine::new(engine, machine, procs).with_diagnostics(|m: &DsmMachine| m.diagnostics());
-    if OP_TRACE.load(Ordering::Relaxed) {
-        engine = engine.with_op_trace(true);
-    }
+    let mut engine = CoopEngine::new(machine, procs)
+        .with_diagnostics(|m: &DsmMachine| m.diagnostics())
+        .with_op_trace(OP_TRACE.load(Ordering::Relaxed));
     if let Some(b) = budget {
         engine = engine.with_cycle_budget(b);
     }
@@ -560,7 +492,6 @@ where
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {
         procs,
-        engine: kind,
         host_ms,
         cycles: run.time(),
         proc_cycles: run.clocks.clone(),
@@ -576,7 +507,6 @@ where
 }
 
 fn run_hs<P, R, FB>(
-    engine: EngineKind,
     mut machine: HsMachine,
     procs: usize,
     p: &P,
@@ -591,11 +521,8 @@ where
     if let Some(buf) = &trace {
         machine.set_tracer(Sink::new(buf.clone()));
     }
-    let kind = engine;
-    let mut engine = AnyEngine::new(engine, machine, procs);
-    if OP_TRACE.load(Ordering::Relaxed) {
-        engine = engine.with_op_trace(true);
-    }
+    let mut engine =
+        CoopEngine::new(machine, procs).with_op_trace(OP_TRACE.load(Ordering::Relaxed));
     if let Some(buf) = &trace {
         engine = engine.with_tracer(buf.clone());
     }
@@ -609,7 +536,6 @@ where
     let host_ms = started.elapsed().as_secs_f64() * 1e3;
     let mut report = RunReport {
         procs,
-        engine: kind,
         host_ms,
         cycles: run.time(),
         proc_cycles: run.clocks.clone(),
@@ -636,19 +562,7 @@ pub fn run_workload_traced<W: tmk_parmacs::Workload>(
     w: &W,
     trace: Option<usize>,
 ) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    run_workload_traced_with(engine_kind(), platform, w, trace)
-}
-
-/// [`run_workload_traced`] on an explicitly chosen execution backend (see
-/// [`run_on_traced_with`]).
-pub fn run_workload_traced_with<W: tmk_parmacs::Workload>(
-    engine: EngineKind,
-    platform: &Platform,
-    w: &W,
-    trace: Option<usize>,
-) -> (Outcome<f64>, Option<Arc<TraceBuf>>) {
-    run_on_traced_with(
-        engine,
+    run_on_traced(
         platform,
         w.segment_bytes(),
         |alloc| w.plan(alloc),

@@ -1,32 +1,30 @@
-//! The cooperative execution backend: a single-threaded event loop driving
-//! simulated processors as resumable stackful coroutines.
+//! The engine: a single-threaded event loop driving simulated processors
+//! as resumable stackful coroutines.
 //!
-//! The scheduler state ([`Sched`]) and the turn rule are shared verbatim
-//! with the threaded engine (`engine.rs`): the Ready processor with the
-//! minimum effective clock (ties by id) executes the next sync operation.
-//! The only difference is the mechanism. Where the threaded engine parks a
-//! processor's OS thread on a condition variable, this engine suspends the
-//! processor's coroutine and returns control to one event loop that resumes
+//! The Ready processor with the minimum effective clock (ties by id)
+//! executes the next sync operation. A processor that must wait suspends
+//! its coroutine and returns control to one event loop, which resumes
 //! whichever processor's turn is next. One host core therefore executes any
 //! cluster size with zero synchronization — no mutex, no condvars, no kernel
 //! round trips — which is what makes 256-node runs practical.
 //!
-//! Yield points are exactly the threaded engine's wait points:
+//! A processor yields at exactly two points, both inside [`Ctx::sync`]:
 //!
-//! * inside [`Ctx::sync`], while it is not this processor's turn;
-//! * inside [`Ctx::sync`], while the processor is blocked awaiting
-//!   [`Op::wake_at`].
+//! * while it is not this processor's turn;
+//! * while the processor is blocked awaiting [`Op::wake_at`].
 //!
-//! [`Ctx::advance`] never yields in either engine (local compute needs no
-//! global order), and stolen cycles are folded at the same points, so op
-//! order, clocks, traces and reports are byte-identical across engines;
-//! `tests/cross_engine.rs` and the CI cross-engine stage enforce that.
+//! [`Ctx::advance`] never yields (local compute needs no global order).
+//! Stolen cycles are folded when a processor enters `sync`, when its turn
+//! begins, when it wakes, and when its body returns.
 //!
-//! Panic semantics also mirror the threaded engine: a panicking processor
-//! poisons the run, every other coroutine is force-unwound (running its
-//! destructors), and the first panic propagates out of
-//! [`CoopEngine::run`]. Watchdog verdicts (cycle budget, all-blocked
-//! deadlock) are composed by the same code and compare byte-equal.
+//! A panicking processor poisons the run: every other coroutine is
+//! force-unwound (running its destructors), and the first panic propagates
+//! out of [`CoopEngine::run`]. The watchdog verdicts (cycle budget,
+//! all-blocked deadlock) propagate the same way, as the panic message.
+//!
+//! The coroutine switcher in `vendor/coro` is hand-written assembly; its
+//! thread-backed fallback (`--cfg tmk_coro_threads`) runs this same engine
+//! on parked OS threads, and CI diffs the two builds' results.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -35,17 +33,17 @@ use std::sync::Arc;
 
 use tmk_trace::{Category, Sink, TraceBuf};
 
-use crate::engine::{
-    budget_msg, compose_abort, Ctx, DiagFn, Op, RunResult, Sched, State, Status, DEADLOCK_CAUSE,
+use crate::sched::{
+    budget_msg, compose_abort, DiagFn, Op, RunResult, Sched, State, Status, DEADLOCK_CAUSE,
 };
 use crate::Cycle;
 
 /// Default coroutine stack size; override with the `TMK_CORO_STACK`
 /// environment variable (bytes) or [`CoopEngine::with_stack_bytes`].
 ///
-/// 2 MiB matches the default OS thread stack the threaded engine runs
-/// bodies on. Stacks are lazily committed heap allocations, so a 256-node
-/// run reserves address space, not resident memory.
+/// 2 MiB matches the default OS thread stack. Stacks are lazily committed
+/// heap allocations, so a 256-node run reserves address space, not resident
+/// memory.
 fn default_stack_bytes() -> usize {
     std::env::var("TMK_CORO_STACK")
         .ok()
@@ -53,9 +51,12 @@ fn default_stack_bytes() -> usize {
         .unwrap_or(2 * 1024 * 1024)
 }
 
-/// The single-threaded cooperative engine. Drop-in alternative to
-/// [`Engine`](crate::Engine): same constructor shape, same builders, same
-/// [`run`](CoopEngine::run) contract, byte-identical results.
+/// A deterministic multiprocessor simulation.
+///
+/// `M` is the *machine model*: caches, buses, networks, protocol state,
+/// statistics — anything the simulated processors share. The engine
+/// guarantees that closures passed to [`Ctx::sync`] observe `M` in
+/// simulated-time order.
 pub struct CoopEngine<M> {
     state: State<M>,
     diag: Option<DiagFn<M>>,
@@ -63,11 +64,21 @@ pub struct CoopEngine<M> {
     stack_bytes: usize,
 }
 
+/// Per-processor handle passed to each simulated processor's body.
+///
+/// Cloning is not offered: one `Ctx` per processor, used from that
+/// processor's coroutine only.
+pub struct Ctx<'e, M> {
+    run: &'e CoopRun<M>,
+    id: usize,
+    nprocs: usize,
+}
+
 /// Per-run shared state: the scheduler core in a `RefCell` (everything runs
 /// on one thread) plus each processor's yielder so `Ctx` methods can
 /// suspend the coroutine they are called from.
-pub(crate) struct CoopRun<M> {
-    pub(crate) state: RefCell<State<M>>,
+struct CoopRun<M> {
+    state: RefCell<State<M>>,
     diag: Option<DiagFn<M>>,
     yielders: Vec<Cell<Option<coro::Yielder>>>,
 }
@@ -80,6 +91,67 @@ impl<M> CoopRun<M> {
             .get()
             .expect("yielder installed before first resume")
             .suspend();
+    }
+
+    /// The body of [`Ctx::sync`] for processor `id`. A function of its own
+    /// rather than written inside `Ctx::sync`: that way M-Water on AS-64
+    /// measured 10–25% slower on a 2-core x86-64 host, most likely through
+    /// different inlining at the many call sites.
+    fn sync<R>(&self, id: usize, nprocs: usize, f: impl FnOnce(&mut Op<'_, M>) -> R) -> R {
+        self.state.borrow_mut().sched.apply_stolen(id);
+        // Wait for our turn. No poison check: the event loop never resumes a
+        // waiter after poisoning — it force-unwinds it instead.
+        while self.state.borrow().sched.min_ready() != Some(id) {
+            self.suspend(id);
+        }
+        let (result, block) = {
+            let mut guard = self.state.borrow_mut();
+            let st = &mut *guard;
+            // Stolen cycles may have arrived while we waited for the turn;
+            // fold them in so the operation starts at the effective clock.
+            st.sched.apply_stolen(id);
+            let clock_now = st.sched.clocks[id];
+            if let Some(trace) = st.sched.trace.as_mut() {
+                trace.push((id, clock_now));
+            }
+            if let Some(budget) = st.sched.budget {
+                if clock_now > budget {
+                    // Livelock watchdog: this processor ran past the cycle
+                    // budget (e.g. an endless fault-retry loop). Take the
+                    // whole simulation down with a diagnostic instead of
+                    // spinning; the panic unwinds to the event loop, which
+                    // propagates it.
+                    let msg =
+                        compose_abort(st, self.diag.as_ref(), &budget_msg(id, clock_now, budget));
+                    drop(guard);
+                    panic!("{msg}");
+                }
+            }
+
+            let mut op = Op {
+                state: &mut *st,
+                id,
+                nprocs,
+                block: false,
+                block_reason: None,
+            };
+            let result = f(&mut op);
+            let block = op.block;
+            let block_reason = op.block_reason.take();
+
+            if block {
+                st.sched.status[id] = Status::Blocked;
+                st.sched.block_reason[id] = block_reason;
+            }
+            (result, block)
+        };
+        if block {
+            while self.state.borrow().sched.status[id] == Status::Blocked {
+                self.suspend(id);
+            }
+            self.state.borrow_mut().sched.apply_stolen(id);
+        }
+        result
     }
 }
 
@@ -96,6 +168,9 @@ impl<T> Clone for SendPtr<T> {
     }
 }
 impl<T> Copy for SendPtr<T> {}
+// SAFETY: the pointer is only dereferenced on the thread that created it
+// (or, under the thread-backed coroutine fallback, while that thread is
+// parked in the handshake), and never after the referent is dropped.
 unsafe impl<T> Send for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -128,25 +203,33 @@ impl<M> CoopEngine<M> {
         self.nprocs
     }
 
-    /// See [`Engine::with_cycle_budget`](crate::Engine::with_cycle_budget).
+    /// Arms the watchdog's cycle budget: the simulation aborts with a
+    /// diagnostic dump if any processor's clock passes `budget` (livelock
+    /// protection; deadlocks are caught unconditionally).
     pub fn with_cycle_budget(mut self, budget: Cycle) -> Self {
         self.state.sched.budget = Some(budget);
         self
     }
 
-    /// See [`Engine::with_tracer`](crate::Engine::with_tracer).
+    /// Attaches a time-attribution tracer: every simulated cycle of every
+    /// processor is charged to a `tmk_trace::Category` as the clocks
+    /// advance, and (when the buffer keeps events) category spans appear
+    /// on the processors' trace tracks. Tracing never alters clocks, so a
+    /// traced run is cycle-identical to an untraced one.
     pub fn with_tracer(mut self, buf: Arc<TraceBuf>) -> Self {
         self.state.sched.tracer = Sink::new(buf);
         self
     }
 
-    /// See [`Engine::with_diagnostics`](crate::Engine::with_diagnostics).
+    /// Installs a machine-state renderer appended to the watchdog's
+    /// per-processor dump (lock holders, barrier occupancy, …).
     pub fn with_diagnostics(mut self, f: impl Fn(&M) -> String + Send + Sync + 'static) -> Self {
         self.diag = Some(Box::new(f));
         self
     }
 
-    /// See [`Engine::with_op_trace`](crate::Engine::with_op_trace).
+    /// Turns the per-op `(pid, clock)` trace ([`RunResult::op_trace`]) on
+    /// or off (default off).
     pub fn with_op_trace(mut self, on: bool) -> Self {
         self.state.sched.trace = on.then(Vec::new);
         self
@@ -158,9 +241,15 @@ impl<M> CoopEngine<M> {
         self
     }
 
-    /// Runs `body` SPMD-style on every simulated processor; see
-    /// [`Engine::run`](crate::Engine::run) for the contract. The whole run
-    /// executes on the calling thread.
+    /// Runs `body` SPMD-style on every simulated processor and returns the
+    /// machine plus final clocks once all bodies have returned. The whole
+    /// run executes on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// If any body panics the simulation is poisoned, all other processors
+    /// are unwound, and the first panic is propagated. A watchdog verdict
+    /// propagates the same way.
     pub fn run<F>(self, body: F) -> RunResult<M>
     where
         F: Fn(&Ctx<'_, M>) + Send + Sync,
@@ -188,7 +277,7 @@ impl<M> CoopEngine<M> {
                     coro::Coro::new_unchecked(stack_bytes, move || {
                         let run = &*run_ptr.get();
                         let body = &*body_ptr.get();
-                        body(&Ctx::for_coop(run, id, nprocs));
+                        body(&Ctx { run, id, nprocs });
                     })
                 }
             })
@@ -225,23 +314,23 @@ impl<M> CoopEngine<M> {
                         let mut st = run.state.borrow_mut();
                         st.sched.apply_stolen(p);
                         st.sched.status[p] = Status::Finished;
-                        if let Some(payload) = payload {
-                            st.sched.poisoned = true;
-                            drop(st);
-                            first_panic = Some(payload);
+                        if payload.is_some() {
+                            first_panic = payload;
                             break;
                         }
                     }
                 },
                 Pick::Deadlock => {
-                    // Nobody Ready, somebody Blocked: the same dead-cluster
-                    // condition the threaded engine's notify_next detects.
-                    let mut st = run.state.borrow_mut();
-                    let msg = compose_abort(&st, run.diag.as_ref(), DEADLOCK_CAUSE);
-                    st.sched.fatal = Some(msg.clone());
-                    st.sched.poisoned = true;
-                    drop(st);
-                    first_panic = Some(Box::new(msg));
+                    // Nobody Ready, somebody Blocked: with every live
+                    // processor parked and nothing in flight inside a sync
+                    // op, no future event can wake anyone (lost wakeup or
+                    // lost message).
+                    let st = run.state.borrow();
+                    first_panic = Some(Box::new(compose_abort(
+                        &st,
+                        run.diag.as_ref(),
+                        DEADLOCK_CAUSE,
+                    )));
                     break;
                 }
             }
@@ -261,7 +350,9 @@ impl<M> CoopEngine<M> {
 
         let mut state = run.state.into_inner();
         debug_assert!(state.sched.all_done());
-        // Same late-stolen fold as the threaded engine's run tail.
+        // A remote handler may charge a processor after it finished and did
+        // its last apply_stolen; fold the remainder in so the reported
+        // clocks are complete.
         for p in 0..nprocs {
             state.sched.apply_stolen(p);
         }
@@ -273,101 +364,111 @@ impl<M> CoopEngine<M> {
     }
 }
 
-/// Cooperative backend of [`Ctx::advance`]: identical bookkeeping to the
-/// threaded version, minus the wakeup (the event loop re-evaluates the turn
-/// whenever control returns to it).
-pub(crate) fn ctx_advance<M>(run: &CoopRun<M>, id: usize, cycles: Cycle) {
-    let mut st = run.state.borrow_mut();
-    let sched = &mut st.sched;
-    sched.apply_stolen(id);
-    sched
-        .tracer
-        .charge_span(id, Category::Compute, sched.clocks[id], cycles);
-    sched.clocks[id] += cycles;
-}
-
-/// Cooperative backend of [`Ctx::now`].
-pub(crate) fn ctx_now<M>(run: &CoopRun<M>, id: usize) -> Cycle {
-    run.state.borrow().sched.eff_clock(id)
-}
-
-/// Cooperative backend of [`Ctx::sync`]. Mirrors the threaded version
-/// statement for statement; condvar waits become coroutine suspensions, and
-/// no borrow of the run state is ever held across a suspension.
-pub(crate) fn ctx_sync<M, R>(
-    run: &CoopRun<M>,
-    id: usize,
-    nprocs: usize,
-    f: impl FnOnce(&mut Op<'_, M>) -> R,
-) -> R {
-    {
-        let mut st = run.state.borrow_mut();
-        st.sched.apply_stolen(id);
-        st.sched.waiting_turn[id] = true;
+impl<M> Ctx<'_, M> {
+    /// This processor's id, in `0..nprocs`.
+    pub fn id(&self) -> usize {
+        self.id
     }
-    // Wait for our turn. No poison check: the event loop never resumes a
-    // waiter after poisoning — it force-unwinds it instead.
-    while !run.state.borrow().sched.is_turn(id) {
-        run.suspend(id);
-    }
-    let (result, block) = {
-        let mut guard = run.state.borrow_mut();
-        let st = &mut *guard;
-        st.sched.waiting_turn[id] = false;
-        st.sched.op_active = true;
-        // Fold stolen cycles at the same point the threaded engine does, so
-        // the operation's start time is the effective clock.
-        st.sched.apply_stolen(id);
-        let clock_now = st.sched.clocks[id];
-        if let Some(trace) = st.sched.trace.as_mut() {
-            trace.push((id, clock_now));
-        }
-        if let Some(budget) = st.sched.budget {
-            if clock_now > budget {
-                st.sched.op_active = false;
-                let msg = compose_abort(st, run.diag.as_ref(), &budget_msg(id, clock_now, budget));
-                st.sched.fatal = Some(msg.clone());
-                st.sched.poisoned = true;
-                drop(guard);
-                // Unwinds to the event loop, which propagates it; the
-                // message matches the threaded engine's poison panic.
-                panic!("{msg}");
-            }
-        }
 
-        let mut op = Op {
-            state: &mut *st,
-            id,
-            nprocs,
-            block: false,
-            block_reason: None,
-        };
-        let result = f(&mut op);
-        let block = op.block;
-        let block_reason = op.block_reason.take();
-
-        st.sched.op_active = false;
-        if block {
-            st.sched.status[id] = Status::Blocked;
-            st.sched.block_reason[id] = block_reason;
-        }
-        (result, block)
-    };
-    if block {
-        while run.state.borrow().sched.status[id] == Status::Blocked {
-            run.suspend(id);
-        }
-        run.state.borrow_mut().sched.apply_stolen(id);
+    /// Number of simulated processors.
+    pub fn nprocs(&self) -> usize {
+        self.nprocs
     }
-    result
+
+    /// Charges `cycles` of purely local computation to this processor.
+    ///
+    /// Local time advances without waiting for other processors; ordering is
+    /// only enforced for [`sync`](Self::sync) operations.
+    pub fn advance(&self, cycles: Cycle) {
+        let mut st = self.run.state.borrow_mut();
+        let sched = &mut st.sched;
+        sched.apply_stolen(self.id);
+        sched
+            .tracer
+            .charge_span(self.id, Category::Compute, sched.clocks[self.id], cycles);
+        sched.clocks[self.id] += cycles;
+    }
+
+    /// Current local clock (effective, including pending stolen cycles).
+    pub fn now(&self) -> Cycle {
+        self.run.state.borrow().sched.eff_clock(self.id)
+    }
+
+    /// Executes a globally ordered operation against the machine model.
+    ///
+    /// The closure runs when this processor holds the minimum effective
+    /// clock among runnable processors, with exclusive access to the machine.
+    /// If the closure calls [`Op::block`], this processor parks after the
+    /// closure returns and `sync` only returns once another processor wakes
+    /// it via [`Op::wake_at`]; callers typically loop, re-examining machine
+    /// state on each iteration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the watchdog verdict if this processor's clock passed
+    /// the cycle budget. Must not be called reentrantly from inside an `Op`
+    /// closure (the run state is already borrowed).
+    pub fn sync<R>(&self, f: impl FnOnce(&mut Op<'_, M>) -> R) -> R {
+        self.run.sync(self.id, self.nprocs, f)
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::testutil::{lock, panic_message, unlock, TestLock};
-    use crate::Engine;
+    use std::collections::VecDeque;
 
+    use super::*;
+
+    /// A tiny spin-free lock implemented with block/wake (the pattern the
+    /// machine crates use).
+    #[derive(Default)]
+    struct TestLock {
+        held: bool,
+        queue: VecDeque<usize>,
+        acquisitions: Vec<usize>,
+    }
+
+    fn lock(ctx: &Ctx<'_, TestLock>) {
+        loop {
+            let got = ctx.sync(|op| {
+                let me = op.id();
+                let m = op.machine();
+                if !m.held {
+                    m.held = true;
+                    m.acquisitions.push(me);
+                    true
+                } else {
+                    m.queue.push_back(me);
+                    op.block();
+                    false
+                }
+            });
+            if got {
+                return;
+            }
+        }
+    }
+
+    fn unlock(ctx: &Ctx<'_, TestLock>) {
+        ctx.sync(|op| {
+            let now = op.now();
+            let next = {
+                let m = op.machine();
+                m.held = false;
+                m.queue.pop_front()
+            };
+            if let Some(p) = next {
+                op.wake_at(p, now + 5);
+            }
+        });
+    }
+
+    fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
     #[test]
     fn single_proc_advances() {
         let engine = CoopEngine::new((), 1);
@@ -457,22 +558,20 @@ mod tests {
     #[test]
     fn blocked_procs_are_excluded_from_the_minimum() {
         let engine = CoopEngine::new(TestLock::default(), 3);
-        let r = engine.run(|ctx| {
-            match ctx.id() {
-                0 => {
-                    lock(ctx);
-                    ctx.advance(1_000);
-                    unlock(ctx);
-                }
-                1 => {
-                    ctx.advance(1);
-                    lock(ctx);
-                    unlock(ctx);
-                }
-                _ => {
-                    ctx.advance(10);
-                    ctx.sync(|op| op.advance(5));
-                }
+        let r = engine.run(|ctx| match ctx.id() {
+            0 => {
+                lock(ctx);
+                ctx.advance(1_000);
+                unlock(ctx);
+            }
+            1 => {
+                ctx.advance(1);
+                lock(ctx);
+                unlock(ctx);
+            }
+            _ => {
+                ctx.advance(10);
+                ctx.sync(|op| op.advance(5));
             }
         });
         assert!(r.clocks[2] < r.clocks[0]);
@@ -569,7 +668,8 @@ mod tests {
     #[test]
     fn single_blocked_processor_aborts_immediately() {
         let r = panic::catch_unwind(|| {
-            CoopEngine::new((), 1).run(|ctx| ctx.sync(|op| op.block_on("a wakeup that never comes")));
+            CoopEngine::new((), 1)
+                .run(|ctx| ctx.sync(|op| op.block_on("a wakeup that never comes")));
         });
         let msg = panic_message(r.expect_err("must abort"));
         assert!(msg.contains("a wakeup that never comes"), "got: {msg}");
@@ -599,11 +699,26 @@ mod tests {
         assert_eq!(r.time(), 100);
     }
 
-    // ---- cross-engine parity -----------------------------------------
+    // ---- goldens -----------------------------------------------------
+    //
+    // The literals below were recorded from the original thread-per-
+    // processor engine, an independent implementation of the same
+    // scheduling rules, and matched this engine byte for byte when both
+    // existed. They pin the turn order, wake timing, stolen-cycle folding
+    // and watchdog text.
 
-    /// The lock-contention workload both engines must agree on, bit for bit.
-    fn contended_run(kind: crate::EngineKind) -> (Vec<usize>, Vec<Cycle>, Vec<(usize, Cycle)>) {
-        let engine = crate::AnyEngine::new(kind, TestLock::default(), 8).with_op_trace(true);
+    /// FNV-1a over the `Debug` rendering of a value.
+    fn fnv_debug(v: &impl std::fmt::Debug) -> u64 {
+        format!("{v:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The lock-contention workload: 8 processors, 50 acquisitions each.
+    fn contended_run() -> (Vec<usize>, Vec<Cycle>, Vec<(usize, Cycle)>) {
+        let engine = CoopEngine::new(TestLock::default(), 8).with_op_trace(true);
         let r = engine.run(|ctx| {
             for _ in 0..50 {
                 ctx.advance((ctx.id() as Cycle * 7) % 13 + 1);
@@ -615,78 +730,111 @@ mod tests {
         (r.machine.acquisitions, r.clocks, r.op_trace)
     }
 
+    const CONTENDED_ACQUISITIONS: [usize; 400] = [
+        0, 6, 1, 6, 0, 1, 3, 5, 7, 3, 5, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        2, 1, 5, 4, 6, 7, 3, 2, 1, 3, 5, 6, 2, 6, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+        4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+        4, 4, 4, 3, 7, 3, 2, 5, 3, 1, 2, 3, 6, 5, 6, 2, 2, 3, 7, 3, 7, 3, 6, 3, 6, 5, 3, 7, 1, 3,
+        2, 5, 3, 7, 1, 2, 6, 5, 6, 2, 7, 1, 3, 6, 3, 7, 3, 1, 2, 3, 5, 7, 3, 2, 1, 3, 5, 2, 3, 6,
+        1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6,
+        1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6,
+        1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6,
+        1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6,
+        1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 3, 7, 5, 3, 2, 6, 1, 6, 2, 5, 7, 1, 7, 1, 6, 5,
+        7, 5, 6, 1, 2, 2, 6, 5, 7, 1, 2, 2, 5, 6, 7, 6, 2, 6, 7, 6, 2, 6, 7, 5, 1, 5, 1, 5, 1, 7,
+        2, 5, 1, 5, 7, 1, 7, 1, 5, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7,
+        1, 7, 1, 7, 1, 7, 1, 7, 1, 7,
+    ];
+
     #[test]
-    fn deterministic_across_runs_and_identical_to_threaded() {
-        let coop_a = contended_run(crate::EngineKind::Coop);
-        let coop_b = contended_run(crate::EngineKind::Coop);
-        assert_eq!(coop_a, coop_b, "coop engine must be deterministic");
-        let threaded = contended_run(crate::EngineKind::Threaded);
+    fn deterministic_across_runs_and_matches_golden() {
+        let first = contended_run();
+        assert_eq!(first, contended_run(), "the engine must be deterministic");
+        let (acq, clocks, ops) = first;
+        assert_eq!(acq, CONTENDED_ACQUISITIONS);
+        assert_eq!(clocks, [239, 1840, 1584, 1394, 587, 1630, 1538, 1846]);
+        assert_eq!(ops.len(), 1173);
         assert_eq!(
-            coop_a, threaded,
-            "coop and threaded engines must agree on acquisitions, clocks and op trace"
+            ops[..8],
+            [
+                (0, 1),
+                (2, 2),
+                (4, 3),
+                (0, 4),
+                (6, 4),
+                (0, 5),
+                (6, 7),
+                (1, 8)
+            ]
         );
+        assert_eq!(
+            ops[ops.len() - 4..],
+            [(1, 1837), (1, 1840), (7, 1843), (7, 1846)]
+        );
+        assert_eq!(fnv_debug(&ops), 0x2f10_63c5_ed96_03d2, "op trace digest");
     }
 
     #[test]
-    fn stolen_cycle_accounting_matches_threaded() {
-        let run = |kind| {
-            let engine = crate::AnyEngine::new(kind, (), 4);
-            engine
-                .run(|ctx| {
-                    for i in 0..20 {
-                        ctx.advance(ctx.id() as Cycle + 1);
-                        ctx.sync(|op| {
-                            let target = (op.id() + 1) % op.nprocs();
-                            op.charge_remote(target, 50 + i);
-                            op.advance(7);
-                        });
+    fn stolen_cycle_accounting_matches_golden() {
+        let clocks = CoopEngine::new((), 4)
+            .run(|ctx| {
+                for i in 0..20 {
+                    ctx.advance(ctx.id() as Cycle + 1);
+                    ctx.sync(|op| {
+                        let target = (op.id() + 1) % op.nprocs();
+                        op.charge_remote(target, 50 + i);
+                        op.advance(7);
+                    });
+                }
+            })
+            .clocks;
+        assert_eq!(clocks, [1350, 1370, 1390, 1410]);
+    }
+
+    #[test]
+    fn deadlock_verdict_matches_golden() {
+        let r = panic::catch_unwind(|| {
+            CoopEngine::new((), 3)
+                .with_diagnostics(|_| "  registry: 3 widgets\n".to_string())
+                .run(|ctx| match ctx.id() {
+                    0 => ctx.advance(42),
+                    1 => {
+                        ctx.sync(|op| op.block_on("lock 7 grant"));
                     }
-                })
-                .clocks
-        };
-        assert_eq!(run(crate::EngineKind::Coop), run(crate::EngineKind::Threaded));
-    }
-
-    #[test]
-    fn deadlock_verdicts_match_threaded_byte_for_byte() {
-        let verdict = |kind| {
-            let r = panic::catch_unwind(|| {
-                crate::AnyEngine::new(kind, (), 3)
-                    .with_diagnostics(|_| "  registry: 3 widgets\n".to_string())
-                    .run(|ctx| match ctx.id() {
-                        0 => ctx.advance(42),
-                        1 => {
-                            ctx.sync(|op| op.block_on("lock 7 grant"));
-                        }
-                        _ => {
-                            ctx.advance(9);
-                            ctx.sync(|op| op.block());
-                        }
-                    });
-            });
-            panic_message(r.expect_err("must abort"))
-        };
+                    _ => {
+                        ctx.advance(9);
+                        ctx.sync(|op| op.block());
+                    }
+                });
+        });
         assert_eq!(
-            verdict(crate::EngineKind::Coop),
-            verdict(crate::EngineKind::Threaded)
+            panic_message(r.expect_err("must abort")),
+            "simulation deadlock: all live processors are blocked and no wakeup is \
+             pending (lost wakeup or lost message)\n  \
+             p0: finished @ cycle 42\n  \
+             p1: blocked @ cycle 0, waiting on lock 7 grant\n  \
+             p2: blocked @ cycle 9\n\
+             machine diagnostics:\n  \
+             registry: 3 widgets\n"
         );
     }
 
     #[test]
-    fn budget_verdicts_match_threaded_byte_for_byte() {
-        let verdict = |kind| {
-            let r = panic::catch_unwind(|| {
-                crate::AnyEngine::new(kind, (), 2)
-                    .with_cycle_budget(10_000)
-                    .run(|ctx| loop {
-                        ctx.sync(|op| op.advance(100));
-                    });
-            });
-            panic_message(r.expect_err("budget must fire"))
-        };
+    fn budget_verdict_matches_golden() {
+        let r = panic::catch_unwind(|| {
+            CoopEngine::new((), 2)
+                .with_cycle_budget(10_000)
+                .run(|ctx| loop {
+                    ctx.sync(|op| op.advance(100));
+                });
+        });
         assert_eq!(
-            verdict(crate::EngineKind::Coop),
-            verdict(crate::EngineKind::Threaded)
+            panic_message(r.expect_err("budget must fire")),
+            "simulation watchdog: processor 0 passed the cycle budget (10100 > 10000) \
+             — livelock or runaway run\n  \
+             p0: ready @ cycle 10100\n  \
+             p1: ready @ cycle 10100\n"
         );
     }
 
@@ -703,14 +851,5 @@ mod tests {
         });
         assert_eq!(r.machine.acquisitions.len(), 300);
         assert_eq!(r.clocks.len(), 300);
-    }
-
-    #[test]
-    fn engine_kind_parses_and_prints() {
-        for kind in crate::EngineKind::ALL {
-            assert_eq!(crate::EngineKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(crate::EngineKind::parse("bogus"), None);
-        assert_eq!(crate::EngineKind::default(), crate::EngineKind::Coop);
     }
 }

@@ -55,49 +55,43 @@ timeout "${CHAOS_TIMEOUT:-600}" \
     ./target/release/suite --experiment scaling --quick \
     --json --out target/smoke > target/smoke/scaling.txt
 
-echo "== engines: quick tier under both backends must agree byte-for-byte =="
-# The threaded and cooperative engines implement the same conservative
-# simulation semantics; any divergence in rendered text or simulated JSON
-# (host-side fields aside) is a correctness bug, not a tolerance.
-rm -rf target/smoke/eng-threaded target/smoke/eng-coop
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --quick --engine threaded \
-    --json --out target/smoke/eng-threaded \
-    --bench-json target/smoke/eng-threaded/BENCH_results.json \
-    > target/smoke/eng-threaded.txt
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --quick --engine coop \
-    --json --out target/smoke/eng-coop \
-    --bench-json target/smoke/eng-coop/BENCH_results.json \
-    > target/smoke/eng-coop.txt
-diff target/smoke/eng-threaded.txt target/smoke/eng-coop.txt
+echo "== coro fallback: thread-backed switcher must match the assembly one =="
+# The engine runs every simulated processor as a coroutine on vendor/coro's
+# hand-written x86-64 context switch. Its portable fallback
+# (--cfg tmk_coro_threads) runs the same engine on parked OS threads and is
+# the switcher's oracle: built into its own target dir, it must pass the
+# engine and switcher tests and reproduce the quick tier's text, simulated
+# JSON (host-side fields aside) and breakdown traces byte for byte.
+fb_target=target/coro-threads
+RUSTFLAGS="--cfg tmk_coro_threads" \
+    cargo build --release -p tmk-bench --bin suite --target-dir "$fb_target"
+RUSTFLAGS="--cfg tmk_coro_threads" \
+    cargo test -q -p tmk-sim -p coro --target-dir "$fb_target"
+for v in asm threads; do
+    if [ "$v" = asm ]; then bin=./target/release/suite; else bin="$fb_target/release/suite"; fi
+    rm -rf "target/smoke/coro-$v"
+    timeout "${CHAOS_TIMEOUT:-600}" \
+        "$bin" --quick --jobs 1 --json --out "target/smoke/coro-$v" \
+        --bench-json "target/smoke/coro-$v/BENCH_results.json" \
+        > "target/smoke/coro-$v.txt"
+    timeout "${CHAOS_TIMEOUT:-600}" \
+        "$bin" --experiment breakdown --quick \
+        --trace "target/smoke/coro-$v/trace" > /dev/null
+done
+diff target/smoke/coro-asm.txt target/smoke/coro-threads.txt
 # Strip the deliberately host-dependent fields before comparing records.
-strip='"host_ms"\|"engine"\|"wall_ms"\|"total_host_ms"'
-for f in target/smoke/eng-threaded/*.json; do
+strip='"host_ms"\|"wall_ms"\|"total_host_ms"'
+for f in target/smoke/coro-asm/*.json; do
     base="$(basename "$f")"
-    grep -v "$strip" "$f" > target/smoke/eng-a.stripped
-    grep -v "$strip" "target/smoke/eng-coop/$base" > target/smoke/eng-b.stripped
-    diff target/smoke/eng-a.stripped target/smoke/eng-b.stripped \
-        || { echo "engines diverge in $base"; exit 1; }
+    grep -v "$strip" "$f" > target/smoke/coro-a.stripped
+    grep -v "$strip" "target/smoke/coro-threads/$base" > target/smoke/coro-b.stripped
+    diff target/smoke/coro-a.stripped target/smoke/coro-b.stripped \
+        || { echo "coro fallback diverges in $base"; exit 1; }
 done
-
-echo "== engines: breakdown traces identical across backends =="
-rm -rf target/smoke/trace-threaded target/smoke/trace-coop
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment breakdown --quick --engine threaded \
-    --trace target/smoke/trace-threaded > /dev/null
-timeout "${CHAOS_TIMEOUT:-600}" \
-    ./target/release/suite --experiment breakdown --quick --engine coop \
-    --trace target/smoke/trace-coop > /dev/null
-for f in target/smoke/trace-threaded/*.trace.json; do
+for f in target/smoke/coro-asm/trace/*.trace.json; do
     ./target/release/suite trace-diff "$f" \
-        "target/smoke/trace-coop/$(basename "$f")" | grep -q "no divergence"
+        "target/smoke/coro-threads/trace/$(basename "$f")" | grep -q "no divergence"
 done
-
-echo "== engines: host-wall sanity (coop at least as fast as threaded) =="
-timeout "${CHAOS_TIMEOUT:-900}" \
-    ./target/release/suite engine-bench --quick --require-speedup 1.0 \
-    > target/smoke/engine_bench.txt
 
 echo "== trace: breakdown decomposition + trace determinism =="
 # Two traced quick-tier runs must record byte-identical Chrome traces; the
