@@ -668,4 +668,49 @@ mod tests {
         c.read(1, addr, &mut back);
         assert_eq!(back, data);
     }
+
+    /// Protocol memory grows with what a node touches: a fresh 128-node
+    /// cluster holds no per-page heap state on any node until a node
+    /// faults, receives a notice for, or originates a page.
+    #[test]
+    fn untouched_nodes_hold_no_page_state() {
+        let mut c = Cluster::new(Config::new(128).segment_pages(2050));
+        for node in 0..128 {
+            assert_eq!(c.node(node).page_state_bytes(), 0, "node {node}");
+        }
+        let addr = c.alloc(8, 8);
+        c.write_u64(5, addr, 1);
+        assert!(
+            c.node(5).page_state_bytes() > 0,
+            "the writer touched a page"
+        );
+        assert_eq!(
+            c.node(6).page_state_bytes(),
+            0,
+            "a bystander touched nothing"
+        );
+    }
+
+    /// A barrier shares interval records instead of copying them: every
+    /// node's store holds the creator's own record of `(creator, seq)`.
+    #[test]
+    fn barrier_shares_interval_records() {
+        let mut c = cluster(4);
+        let addr = c.alloc(8, 8);
+        c.write_u64(2, addr, 7);
+        c.barrier(0);
+        let own = c
+            .node(2)
+            .store()
+            .get(2, 1)
+            .expect("creator keeps its record");
+        for node in [0, 1, 3] {
+            let rec = c
+                .node(node)
+                .store()
+                .get(2, 1)
+                .expect("barrier delivered it");
+            assert!(std::sync::Arc::ptr_eq(own, rec), "node {node} holds a copy");
+        }
+    }
 }

@@ -7,25 +7,26 @@
 //! has learned about, from any node, until barrier-time garbage collection
 //! retires the prefix every node's vector time dominates.
 
+use std::sync::Arc;
+
 use crate::{NodeId, PageId, Seq, VTime};
 
 /// An interval as transmitted on the wire (inside lock grants and barrier
 /// messages).
+///
+/// The vector time and notice list live in a shared [`IntervalRec`]: the
+/// creator builds it once, and every message and every node's store that
+/// carries the interval afterwards holds the same record. A barrier
+/// departure to N nodes therefore copies pointers, not N-entry vectors. The
+/// record is behind an [`Arc`] because the real-thread runtime sends
+/// messages across OS threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntervalMsg {
     /// The node that executed the interval.
     pub node: NodeId,
     /// Its 1-based sequence number within that node.
     pub seq: Seq,
-    /// The creator's vector time when the interval closed (with
-    /// `vt.get(node) == seq`).
-    pub vt: VTime,
-    /// Pages dirtied during the interval (the write notices), ascending.
-    pub pages: Vec<PageId>,
-    /// Cached count of maximal consecutive-page runs in `pages`, computed
-    /// once at construction: `wire_bytes` is consulted per hop on hot
-    /// paths, so the run-length scan must not repeat per call.
-    runs: usize,
+    rec: Arc<IntervalRec>,
 }
 
 impl IntervalMsg {
@@ -37,22 +38,32 @@ impl IntervalMsg {
         IntervalMsg {
             node,
             seq,
-            vt,
-            pages,
-            runs,
+            rec: Arc::new(IntervalRec { vt, pages, runs }),
         }
+    }
+
+    /// The creator's vector time when the interval closed (with
+    /// `vt().get(node) == seq`).
+    pub fn vt(&self) -> &VTime {
+        &self.rec.vt
+    }
+
+    /// Pages dirtied during the interval (the write notices), ascending.
+    pub fn pages(&self) -> &[PageId] {
+        &self.rec.pages
     }
 
     /// Wire size: ids + vector time + run-length-encoded write notices
     /// (consecutive page numbers collapse to `(start, len)` pairs, the
     /// natural encoding for band-partitioned applications like SOR).
     pub fn wire_bytes(&self) -> usize {
-        8 + self.vt.wire_bytes() + 8 * self.notice_runs()
+        8 + self.rec.vt.wire_bytes() + 8 * self.notice_runs()
     }
 
-    /// Number of maximal runs of consecutive page ids (cached).
+    /// Number of maximal runs of consecutive page ids (counted once at
+    /// construction: `wire_bytes` is consulted per hop on hot paths).
     pub fn notice_runs(&self) -> usize {
-        self.runs
+        self.rec.runs
     }
 }
 
@@ -69,15 +80,20 @@ fn count_runs(sorted: &[PageId]) -> usize {
     runs
 }
 
-/// One node's record of a (possibly remote) interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One interval's closing vector time and write notices, shared by every
+/// message and store that carries the interval.
+#[derive(Debug, PartialEq, Eq)]
 pub struct IntervalRec {
     /// Closing vector time.
     pub vt: VTime,
-    /// Pages dirtied (ascending; inserted from sorted wire messages).
+    /// Pages dirtied, ascending.
     pub pages: Vec<PageId>,
+    /// Count of maximal consecutive-page runs in `pages`.
+    runs: usize,
 }
 
+/// Logical bytes of one record (what it would cost unshared), so the GC
+/// trigger and the memory ledger do not depend on how records are shared.
 fn rec_bytes(rec: &IntervalRec) -> usize {
     16 + rec.vt.wire_bytes() + rec.pages.len() * 8
 }
@@ -92,12 +108,12 @@ fn rec_bytes(rec: &IntervalRec) -> usize {
 /// advances the floor at barrier-time GC.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalStore {
-    by_node: Vec<Vec<IntervalRec>>,
+    by_node: Vec<Vec<Arc<IntervalRec>>>,
     /// Per creator: highest retired sequence (records `<= retired[q]` are
     /// gone; lookups below the floor return `None`).
     retired: Vec<Seq>,
-    /// Approximate resident bytes of the live records, maintained
-    /// incrementally for the memory ledger and the GC trigger.
+    /// Logical bytes of the live records, maintained incrementally for the
+    /// memory ledger and the GC trigger.
     bytes: usize,
 }
 
@@ -122,12 +138,22 @@ impl IntervalStore {
     }
 
     /// Looks up interval `(node, seq)`. Returns `None` below the GC floor.
-    pub fn get(&self, node: NodeId, seq: Seq) -> Option<&IntervalRec> {
+    pub fn get(&self, node: NodeId, seq: Seq) -> Option<&Arc<IntervalRec>> {
         debug_assert!(seq >= 1);
         if seq <= self.retired[node] {
             return None;
         }
         self.by_node[node].get((seq - self.retired[node]) as usize - 1)
+    }
+
+    /// Interval `(node, seq)` as a wire message sharing the stored record.
+    /// Returns `None` below the GC floor or above the frontier.
+    pub fn msg(&self, node: NodeId, seq: Seq) -> Option<IntervalMsg> {
+        self.get(node, seq).map(|rec| IntervalMsg {
+            node,
+            seq,
+            rec: Arc::clone(rec),
+        })
     }
 
     /// Records an interval learned from the wire (idempotent: re-delivery of
@@ -151,20 +177,22 @@ impl IntervalStore {
             have,
             msg.seq
         );
-        let rec = IntervalRec {
-            vt: msg.vt.clone(),
-            pages: msg.pages.clone(),
-        };
-        self.bytes += rec_bytes(&rec);
-        self.by_node[msg.node].push(rec);
+        self.push(msg);
     }
 
     /// Records an interval this node itself just closed.
-    pub fn record_own(&mut self, node: NodeId, seq: Seq, vt: VTime, pages: Vec<PageId>) {
-        assert_eq!(seq, self.frontier(node) + 1, "own interval out of order");
-        let rec = IntervalRec { vt, pages };
-        self.bytes += rec_bytes(&rec);
-        self.by_node[node].push(rec);
+    pub fn record_own(&mut self, msg: &IntervalMsg) {
+        assert_eq!(
+            msg.seq,
+            self.frontier(msg.node) + 1,
+            "own interval out of order"
+        );
+        self.push(msg);
+    }
+
+    fn push(&mut self, msg: &IntervalMsg) {
+        self.bytes += rec_bytes(&msg.rec);
+        self.by_node[msg.node].push(Arc::clone(&msg.rec));
     }
 
     /// All intervals covered by `upto` but not by `from`, as wire messages —
@@ -176,10 +204,7 @@ impl IntervalStore {
         for q in 0..self.by_node.len() {
             let lo = from.get(q).max(self.retired[q]);
             let hi = upto.get(q).min(self.frontier(q));
-            for seq in (lo + 1)..=hi {
-                let rec = &self.by_node[q][(seq - self.retired[q]) as usize - 1];
-                out.push(IntervalMsg::new(q, seq, rec.vt.clone(), rec.pages.clone()));
-            }
+            out.extend(((lo + 1)..=hi).map(|seq| self.msg(q, seq).expect("live record")));
         }
         out
     }
@@ -210,7 +235,8 @@ impl IntervalStore {
         self.by_node.iter().map(Vec::len).sum()
     }
 
-    /// Approximate resident bytes of the live interval records.
+    /// Logical bytes of the live interval records (each counted whole, as
+    /// if unshared).
     pub fn approx_bytes(&self) -> usize {
         self.bytes
     }
@@ -279,7 +305,7 @@ mod tests {
     fn notice_runs_sorts_at_construction() {
         // Out-of-order first-write order must not inflate the run count.
         let m = msg(0, 1, 4, &[5, 3, 4, 1, 2]);
-        assert_eq!(m.pages, vec![1, 2, 3, 4, 5]);
+        assert_eq!(m.pages(), &[1, 2, 3, 4, 5]);
         assert_eq!(m.notice_runs(), 1);
         assert_eq!(m.wire_bytes(), 8 + 16 + 8);
     }

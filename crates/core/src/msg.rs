@@ -382,4 +382,48 @@ mod tests {
         assert_eq!(b.consistency, 32);
         assert_eq!(b.total(), 4128);
     }
+
+    /// A page reply charges one `Seq` per node of version vector however
+    /// few writers the page has, as the dense vector it replaced did.
+    #[test]
+    fn page_reply_version_is_dense_under_sparse_page_state() {
+        use crate::{Config, Node};
+        let n = 128;
+        let mut origin = Node::new(0, Config::new(n).page_size(256).segment_pages(4));
+        // Node 3's first interval dirtied page 0; the origin applies its diff.
+        let mut vt = VTime::zero(n);
+        vt.set(3, 1);
+        let deliver = |node: &mut Node, from, msg| node.handle(Envelope { from, to: 0, msg });
+        deliver(
+            &mut origin,
+            3,
+            Msg::LockGrant {
+                lock: 0,
+                intervals: vec![IntervalMsg::new(3, 1, vt.clone(), vec![0])],
+            },
+        );
+        assert!(
+            !origin.fault(0, false).ready,
+            "the origin must fetch node 3's diff"
+        );
+        let h = deliver(
+            &mut origin,
+            3,
+            Msg::DiffReply {
+                page: 0,
+                diffs: vec![(1, vt, Diff::default())],
+            },
+        );
+        assert_eq!(h.actions, vec![Action::PageReady(0)]);
+
+        let mut h = deliver(&mut origin, 9, Msg::PageReq { page: 0 });
+        let reply = h.sends.pop().expect("origin answers a page request");
+        let Msg::PageReply { version, .. } = &reply.msg else {
+            panic!("expected a page reply, got {:?}", reply.msg);
+        };
+        assert_eq!(version.len(), n);
+        let writers: Vec<usize> = (0..n).filter(|&q| version[q] > 0).collect();
+        assert_eq!(writers, vec![3], "a single writer");
+        assert_eq!(reply.msg.body_bytes().consistency, n * 4);
+    }
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::interval::IntervalMsg;
-use crate::page::{FetchState, PageMeta};
+use crate::page::{FetchState, PageTable};
 use crate::{
     Action, BarrierId, Config, Diff, Envelope, IntervalStore, LockId, Msg, NodeId, NodeStats,
     PageId, ReleaseMode, Seq, SharedAddr, VTime,
@@ -90,7 +90,7 @@ struct GcState {
 pub struct NodeCheckpoint {
     vt: VTime,
     store: IntervalStore,
-    pages: Vec<PageMeta>,
+    pages: PageTable,
     dirty: Vec<PageId>,
     last_reported: Seq,
     cached_diff_bytes: u64,
@@ -100,7 +100,7 @@ impl NodeCheckpoint {
     /// Pages with a resident copy in the snapshot (what a restore of this
     /// node must re-materialize from stable storage).
     pub fn pages_resident(&self) -> u64 {
-        self.pages.iter().filter(|p| p.data.is_some()).count() as u64
+        self.pages.resident()
     }
 
     /// Approximate snapshot footprint in bytes (page copies + metadata),
@@ -119,7 +119,8 @@ pub struct Node {
     cfg: Config,
     vt: VTime,
     store: IntervalStore,
-    pages: Vec<PageMeta>,
+    /// Per-page state, allocated on first touch.
+    pages: PageTable,
     /// Pages with twins in the currently open interval.
     dirty: Vec<PageId>,
     locks: HashMap<LockId, LockView>,
@@ -204,12 +205,11 @@ impl Node {
     pub fn new(id: NodeId, cfg: Config) -> Node {
         assert!(id < cfg.nodes);
         let n = cfg.nodes;
-        let pages = (0..cfg.segment_pages).map(|_| PageMeta::new(n)).collect();
         Node {
             id,
             vt: VTime::zero(n),
             store: IntervalStore::new(n),
-            pages,
+            pages: PageTable::new(cfg.segment_pages),
             dirty: Vec::new(),
             locks: HashMap::new(),
             mgr_last: HashMap::new(),
@@ -250,28 +250,20 @@ impl Node {
 
     /// Whether a fault on `page` is still waiting for replies.
     pub fn page_fetch_in_progress(&self, page: PageId) -> bool {
-        self.pages[page].fetch.is_some()
+        self.pages.get(page).is_some_and(|p| p.fetch.is_some())
     }
 
-    /// A one-line diagnostic summary of a page's protocol state
-    /// (valid/twin/dirty flags, applied versions, pending notices,
-    /// materialized diff sequences, undiffed intervals).
-    pub fn page_debug(&self, page: PageId) -> String {
-        let p = &self.pages[page];
-        format!(
-            "valid={} data={} twin={} open_dirty={} applied={:?} pending={:?} diffs={:?} undiffed={:?}",
-            p.is_valid(),
-            p.data.is_some(),
-            p.twin.is_some(),
-            p.open_dirty,
-            p.applied,
-            p.pending,
-            p.my_diffs
-                .iter()
-                .map(|(s, d)| (*s, d.data_bytes()))
-                .collect::<Vec<_>>(),
-            p.undiffed,
-        )
+    /// Heap bytes of this node's per-page protocol state: zero until the
+    /// node touches a page.
+    #[cfg(test)]
+    pub(crate) fn page_state_bytes(&self) -> usize {
+        self.pages.heap_bytes()
+    }
+
+    /// This node's interval store.
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &IntervalStore {
+        &self.store
     }
 
     /// A diagnostic summary of this node's synchronization state: which
@@ -320,7 +312,7 @@ impl Node {
         debug_assert!(self.dirty.is_empty(), "checkpoint with an open interval");
         debug_assert!(self.gc.is_none(), "checkpoint during a GC episode");
         debug_assert!(
-            self.pages.iter().all(|p| p.fetch.is_none()),
+            self.pages.touched().all(|p| p.fetch.is_none()),
             "checkpoint with a fetch in flight"
         );
         NodeCheckpoint {
@@ -367,7 +359,7 @@ impl Node {
 
     /// Pages with a resident local copy (valid or awaiting notices).
     pub fn pages_resident(&self) -> u64 {
-        self.pages.iter().filter(|p| p.data.is_some()).count() as u64
+        self.pages.resident()
     }
 
     fn lock_view(&mut self, lock: LockId) -> &mut LockView {
@@ -385,7 +377,7 @@ impl Node {
 
     /// Is the local copy of `page` valid (readable)?
     pub fn page_valid(&self, page: PageId) -> bool {
-        self.pages[page].is_valid()
+        self.pages.get(page).is_some_and(|p| p.is_valid())
     }
 
     /// Is `page` writable without a fault?
@@ -394,8 +386,9 @@ impl Node {
     /// the first write of each interval faults (to note the page in the new
     /// interval); a single-node cluster skips all of that.
     pub fn page_writable(&self, page: PageId) -> bool {
-        let p = &self.pages[page];
-        p.is_valid() && (p.open_dirty || self.cfg.nodes == 1)
+        self.pages
+            .get(page)
+            .is_some_and(|p| p.is_valid() && (p.open_dirty || self.cfg.nodes == 1))
     }
 
     /// The pages overlapped by `len` bytes at `addr`.
@@ -434,7 +427,8 @@ impl Node {
     fn origin_page_data(&mut self, page: PageId) -> &mut [u8] {
         debug_assert_eq!(self.id, ORIGIN);
         let ps = self.cfg.page_size;
-        self.pages[page]
+        self.pages
+            .touch(page)
             .data
             .get_or_insert_with(|| vec![0u8; ps].into_boxed_slice())
     }
@@ -453,9 +447,12 @@ impl Node {
             let page = a / ps;
             let in_page = a % ps;
             let chunk = (ps - in_page).min(buf.len() - off);
-            let p = &self.pages[page];
-            assert!(p.is_valid(), "read of invalid page {page} on node {}", self.id);
-            let data = p.data.as_ref().expect("valid page has data");
+            let data = self
+                .pages
+                .get(page)
+                .filter(|p| p.is_valid())
+                .and_then(|p| p.data.as_ref())
+                .unwrap_or_else(|| panic!("read of invalid page {page} on node {}", self.id));
             buf[off..off + chunk].copy_from_slice(&data[in_page..in_page + chunk]);
             off += chunk;
         }
@@ -475,12 +472,12 @@ impl Node {
             let page = a / ps;
             let in_page = a % ps;
             let chunk = (ps - in_page).min(bytes.len() - off);
-            let id = self.id;
-            let p = &mut self.pages[page];
             assert!(
-                p.is_valid() && (p.open_dirty || self.cfg.nodes == 1),
-                "write to non-writable page {page} on node {id}"
+                self.page_writable(page),
+                "write to non-writable page {page} on node {}",
+                self.id
             );
+            let p = self.pages.get_mut(page).expect("writable page is touched");
             let data = p.data.as_mut().expect("valid page has data");
             data[in_page..in_page + chunk].copy_from_slice(&bytes[off..off + chunk]);
             off += chunk;
@@ -504,10 +501,11 @@ impl Node {
             self.stats.read_faults += 1;
         }
         // Origin can always materialize a never-touched page locally.
-        if self.id == ORIGIN && self.pages[page].data.is_none() {
+        if self.id == ORIGIN {
             self.origin_page_data(page);
         }
-        if self.pages[page].is_valid() {
+        let p = self.pages.touch(page);
+        if p.is_valid() {
             if write {
                 self.begin_write(page);
             }
@@ -516,18 +514,8 @@ impl Node {
                 sends: Vec::new(),
             };
         }
-        assert!(
-            self.pages[page].fetch.is_none(),
-            "concurrent faults on page {page}"
-        );
-        let fetch = FetchState {
-            outstanding: 0,
-            base: None,
-            diffs: Vec::new(),
-            want_write: write,
-            gc: false,
-        };
-        self.pages[page].fetch = Some(fetch);
+        assert!(p.fetch.is_none(), "concurrent faults on page {page}");
+        p.fetch = Some(FetchState::new(write, false));
         let sends = self.issue_fetch_requests(page);
         debug_assert!(!sends.is_empty(), "invalid page must need something");
         FaultStart {
@@ -540,14 +528,13 @@ impl Node {
     fn issue_fetch_requests(&mut self, page: PageId) -> Vec<Envelope> {
         let mut sends = Vec::new();
         let me = self.id;
-        let p = &self.pages[page];
+        let p = self.pages.get(page).expect("fetching page is touched");
         let need_base = p.data.is_none();
-        let mut reqs: Vec<(NodeId, Seq, Seq)> = Vec::new();
-        for q in 0..self.cfg.nodes {
-            if let Some(&last) = p.pending[q].last() {
-                reqs.push((q, p.applied[q], last));
-            }
-        }
+        // Ascending writer order, so request order is deterministic.
+        let reqs: Vec<(NodeId, Seq, Seq)> = p
+            .pending_tails()
+            .map(|(q, last)| (q, p.applied(q), last))
+            .collect();
         if need_base {
             sends.push(Envelope {
                 from: me,
@@ -565,7 +552,7 @@ impl Node {
             });
             self.stats.diff_requests += 1;
         }
-        let fetch = self.pages[page].fetch.as_mut().expect("fetch in progress");
+        let fetch = self.fetch_mut(page);
         fetch.outstanding += sends.len();
         sends
     }
@@ -577,7 +564,7 @@ impl Node {
         if self.cfg.nodes == 1 {
             return; // no other node can ever need a diff
         }
-        let p = &mut self.pages[page];
+        let p = self.pages.touch(page);
         if p.open_dirty {
             return;
         }
@@ -593,7 +580,7 @@ impl Node {
     /// Attempts to finish an outstanding fetch once all replies arrived.
     fn try_complete_fetch(&mut self, page: PageId) -> Handled {
         let mut out = Handled::default();
-        let fetch = self.pages[page].fetch.as_mut().expect("fetch in progress");
+        let fetch = self.fetch_mut(page);
         if fetch.outstanding > 0 {
             return out;
         }
@@ -602,8 +589,8 @@ impl Node {
         let base = fetch.base.take();
         let mut diffs = std::mem::take(&mut fetch.diffs);
 
+        let p = self.pages.touch(page);
         if let Some((bytes, version)) = base {
-            let p = &mut self.pages[page];
             debug_assert!(p.data.is_none());
             p.data = Some(bytes.into_boxed_slice());
             for (q, &seq) in version.iter().enumerate() {
@@ -612,8 +599,7 @@ impl Node {
         }
         causal_sort(&mut diffs);
         for (q, seq, _vt, diff) in diffs {
-            let p = &mut self.pages[page];
-            if seq <= p.applied[q] {
+            if seq <= p.applied(q) {
                 continue; // subsumed by the base copy
             }
             let data = p.data.as_mut().expect("base present before diffs");
@@ -625,8 +611,8 @@ impl Node {
             self.stats.diffs_applied += 1;
         }
 
-        if self.pages[page].is_valid() {
-            self.pages[page].fetch = None;
+        if p.is_valid() {
+            p.fetch = None;
             if was_gc {
                 // A GC validation fetch: no processor is blocked on it. When
                 // the last one lands, the origin collects and releases the
@@ -652,6 +638,12 @@ impl Node {
         out
     }
 
+    fn fetch_mut(&mut self, page: PageId) -> &mut FetchState {
+        self.pages
+            .get_mut(page)
+            .and_then(|p| p.fetch.as_deref_mut())
+            .expect("fetch in progress")
+    }
 
     // ------------------------------------------------------------------
     // Intervals
@@ -670,7 +662,7 @@ impl Node {
             // Lazy diff creation: keep the twin; the diff is materialized
             // at the first remote request (or never, for pages nobody
             // reads — the common case for a partitioned interior).
-            let p = &mut self.pages[page];
+            let p = self.pages.touch(page);
             debug_assert!(p.open_dirty && p.twin.is_some());
             p.open_dirty = false;
             p.undiffed.push(seq);
@@ -681,8 +673,7 @@ impl Node {
         // store records them sorted too and later reconstructions
         // ([`IntervalStore::between`]) produce identical wire messages.
         let msg = IntervalMsg::new(self.id, seq, self.vt.clone(), pages);
-        self.store
-            .record_own(self.id, seq, msg.vt.clone(), msg.pages.clone());
+        self.store.record_own(&msg);
         self.ledger_note();
         Some(msg)
     }
@@ -693,8 +684,8 @@ impl Node {
             return; // own or already known
         }
         self.store.insert(msg);
-        for &page in &msg.pages {
-            self.pages[page].add_notice(msg.node, msg.seq);
+        for &page in msg.pages() {
+            self.pages.touch(page).add_notice(msg.node, msg.seq);
             self.stats.notices_received += 1;
         }
         self.ledger_note();
@@ -703,7 +694,7 @@ impl Node {
     /// Merges the vector times of received intervals into our own.
     fn merge_vt_from(&mut self, intervals: &[IntervalMsg]) {
         for m in intervals {
-            self.vt.merge(&m.vt);
+            self.vt.merge(m.vt());
         }
     }
 
@@ -760,7 +751,9 @@ impl Node {
     /// interval has not written the page (closing it first if needed), so
     /// a diff never carries writes newer than its assigned interval.
     fn materialize_diffs(&mut self, page: PageId, from: Seq, to: Seq) -> bool {
-        let p = &mut self.pages[page];
+        let Some(p) = self.pages.get_mut(page) else {
+            return false;
+        };
         let covered = p.undiffed.iter().any(|&s| s > from && s <= to);
         if !covered {
             return false;
@@ -794,11 +787,13 @@ impl Node {
         };
         let seq = interval.seq;
         let diffs: Vec<(PageId, Diff)> = interval
-            .pages
+            .pages()
             .iter()
             .map(|&pg| {
                 self.materialize_diffs(pg, seq - 1, seq);
-                let d = self.pages[pg]
+                let d = self
+                    .pages
+                    .touch(pg)
                     .my_diffs
                     .iter()
                     .rev()
@@ -888,17 +883,9 @@ impl Node {
     }
 
     fn own_intervals_since(&self, from: Seq) -> Vec<IntervalMsg> {
-        let mut out = Vec::new();
-        for seq in (from + 1)..=self.vt.get(self.id) {
-            let rec = self.store.get(self.id, seq).expect("own interval recorded");
-            out.push(IntervalMsg::new(
-                self.id,
-                seq,
-                rec.vt.clone(),
-                rec.pages.clone(),
-            ));
-        }
-        out
+        ((from + 1)..=self.vt.get(self.id))
+            .map(|seq| self.store.msg(self.id, seq).expect("own interval recorded"))
+            .collect()
     }
 
     /// Records an arrival at the manager; true when all nodes have arrived.
@@ -999,19 +986,14 @@ impl Node {
         }
         let mut validating = 0;
         for page in 0..self.cfg.segment_pages {
-            if self.pages[page].pending.iter().all(Vec::is_empty) {
+            if !self.pages.get(page).is_some_and(|p| p.has_pending()) {
                 continue;
             }
-            // A never-touched origin page still starts from the zero base.
+            // A never-faulted origin page still starts from the zero base.
             self.origin_page_data(page);
-            debug_assert!(self.pages[page].fetch.is_none(), "GC with a fault in flight");
-            self.pages[page].fetch = Some(FetchState {
-                outstanding: 0,
-                base: None,
-                diffs: Vec::new(),
-                want_write: false,
-                gc: true,
-            });
+            let p = self.pages.touch(page);
+            debug_assert!(p.fetch.is_none(), "GC with a fault in flight");
+            p.fetch = Some(FetchState::new(false, true));
             let reqs = self.issue_fetch_requests(page);
             debug_assert!(!reqs.is_empty(), "pending page must need diffs");
             sends.extend(reqs);
@@ -1049,7 +1031,7 @@ impl Node {
         let (records, _) = self.store.retire_below(&gc.floor);
         self.stats.gc_collections += 1;
         self.stats.gc_intervals_retired += records;
-        for p in &mut self.pages {
+        for p in self.pages.touched_mut() {
             debug_assert!(!p.open_dirty, "GC with an open write interval");
             debug_assert!(p.fetch.is_none(), "GC with a fetch in flight");
             // Every cached diff describes a now-retired interval: no
@@ -1068,19 +1050,13 @@ impl Node {
             // A copy still awaiting retired diffs can never be brought
             // current: drop it, so the next fault fetches a whole page from
             // the validated origin.
-            if p.pending.iter().any(|v| !v.is_empty()) {
+            if p.has_pending() {
                 debug_assert_ne!(me, ORIGIN, "origin pages are validated before GC");
-                debug_assert!(p
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .all(|(q, v)| v.iter().all(|&s| s <= gc.floor.get(q))));
+                debug_assert!(p.pending().iter().all(|&(q, s)| s <= gc.floor.get(q)));
                 if p.data.take().is_some() {
                     self.stats.gc_pages_dropped += 1;
                 }
-                for v in &mut p.pending {
-                    v.clear();
-                }
+                p.clear_pending();
             }
         }
         self.ledger_note();
@@ -1275,13 +1251,16 @@ impl Node {
         if self.id == ORIGIN {
             self.origin_page_data(page);
         }
-        let p = &self.pages[page];
-        let data = p
-            .data
-            .as_ref()
-            .expect("page request sent to a node without a copy")
-            .to_vec();
-        let version = p.applied.clone();
+        let p = self
+            .pages
+            .get(page)
+            .filter(|p| p.data.is_some())
+            .expect("page request sent to a node without a copy");
+        let data = p.data.as_deref().expect("checked above").to_vec();
+        // The reply carries the dense per-writer version vector (its wire
+        // size is one `Seq` per node); page replies are rare, so it is
+        // built here rather than kept per page.
+        let version = p.version_vector(self.cfg.nodes);
         Handled {
             sends: vec![Envelope {
                 from: self.id,
@@ -1298,10 +1277,7 @@ impl Node {
 
     fn on_page_reply(&mut self, page: PageId, data: Vec<u8>, version: Vec<Seq>) -> Handled {
         {
-            let fetch = self.pages[page]
-                .fetch
-                .as_mut()
-                .expect("unsolicited page reply");
+            let fetch = self.fetch_mut(page);
             debug_assert!(fetch.base.is_none());
             fetch.base = Some((data, version));
             fetch.outstanding -= 1;
@@ -1315,12 +1291,15 @@ impl Node {
         // everything those writes causally depend on. (Leaking open writes
         // into a diff stamped with an *older* interval would let a
         // concurrent node's diff clobber them at the requester.)
-        if self.pages[page].open_dirty {
+        if self.pages.get(page).is_some_and(|p| p.open_dirty) {
             self.close_interval();
         }
         self.materialize_diffs(page, lo, hi);
-        let diffs = self.pages[page]
-            .my_diffs_between(lo, hi)
+        let diffs = self
+            .pages
+            .get(page)
+            .map(|p| p.my_diffs_between(lo, hi))
+            .unwrap_or_default()
             .into_iter()
             .map(|(s, d)| {
                 let vt = self
@@ -1337,8 +1316,10 @@ impl Node {
         // about to be retired cluster-wide — caching it until `GcDone`
         // would spike the very footprint the collector exists to bound, so
         // retire it on the spot.
-        if let Some(floor) = self.gc.as_ref().map(|g| g.floor.get(self.id)) {
-            let p = &mut self.pages[page];
+        if let (Some(floor), Some(p)) = (
+            self.gc.as_ref().map(|g| g.floor.get(self.id)),
+            self.pages.get_mut(page),
+        ) {
             let (mut retired, mut freed) = (0u64, 0u64);
             p.my_diffs.retain(|(s, d)| {
                 if *s <= floor {
@@ -1373,10 +1354,7 @@ impl Node {
         diffs: Vec<(Seq, VTime, Diff)>,
     ) -> Handled {
         {
-            let fetch = self.pages[page]
-                .fetch
-                .as_mut()
-                .expect("unsolicited diff reply");
+            let fetch = self.fetch_mut(page);
             fetch
                 .diffs
                 .extend(diffs.into_iter().map(|(s, vt, d)| (from, s, vt, d)));
@@ -1401,13 +1379,14 @@ impl Node {
             return Handled::default();
         }
         for (page, diff) in diffs {
-            let p = &mut self.pages[page];
-            let in_order = p.applied[writer] + 1 == seq && p.pending[writer].is_empty();
+            let p = self.pages.touch(page);
+            // No pending notice at all (from this writer included).
+            let pending_clear = !p.has_pending();
+            let in_order = p.applied(writer) + 1 == seq;
             let causally_ready = interval
-                .vt
+                .vt()
                 .iter()
-                .all(|(q, s)| q == writer || p.applied[q] >= s);
-            let pending_clear = p.pending.iter().all(Vec::is_empty);
+                .all(|(q, s)| q == writer || p.applied(q) >= s);
             let fetching = p.fetch.is_some();
             if p.data.is_some() && in_order && causally_ready && pending_clear && !fetching {
                 let data = p.data.as_mut().expect("checked above");

@@ -505,6 +505,57 @@ enum Ev {
     Retry(Envelope, PacketId),
 }
 
+/// One cascade's per-node "free from" times, dense by node id. A node the
+/// cascade has not touched yet has no entry: as a sender it starts at the
+/// cascade's start time, as a receiver at time zero.
+pub(crate) struct Avail(Vec<Option<Cycle>>);
+
+impl Avail {
+    /// `nodes` untouched entries, with the initiator `me` free at `t0`.
+    pub(crate) fn new(nodes: usize, me: NodeId, t0: Cycle) -> Self {
+        let mut a = Avail(vec![None; nodes]);
+        a.set(me, t0);
+        a
+    }
+
+    /// When `node` is free, if the cascade touched it.
+    pub(crate) fn get(&self, node: NodeId) -> Option<Cycle> {
+        self.0[node]
+    }
+
+    /// When `node` can send: its entry, first set to `t0` if it has none.
+    pub(crate) fn sender(&mut self, node: NodeId, t0: Cycle) -> Cycle {
+        *self.0[node].get_or_insert(t0)
+    }
+
+    /// Records that `node` is free from `at`.
+    pub(crate) fn set(&mut self, node: NodeId, at: Cycle) {
+        self.0[node] = Some(at);
+    }
+}
+
+/// A cascade's scheduled events, keyed by their dense sequence number: the
+/// key is the slot index, handed out in insertion order, so `(time, key)`
+/// heap order is insertion order among equal times.
+pub(crate) struct Slab<T>(Vec<Option<T>>);
+
+impl<T> Slab<T> {
+    pub(crate) fn new() -> Self {
+        Slab(Vec::new())
+    }
+
+    /// Stores `v` under the next key.
+    pub(crate) fn insert(&mut self, v: T) -> u64 {
+        self.0.push(Some(v));
+        (self.0.len() - 1) as u64
+    }
+
+    /// Takes the value stored under `key` out of the slab.
+    pub(crate) fn remove(&mut self, key: u64) -> Option<T> {
+        self.0.get_mut(key as usize).and_then(Option::take)
+    }
+}
+
 /// Routes a protocol cascade to quiescence with full timing, starting from
 /// `sends` issued by `me` at time `t0`.
 ///
@@ -525,14 +576,12 @@ pub(crate) fn route_timed(
     use std::cmp::Reverse;
 
     let mut heap: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
-    let mut events: HashMap<u64, Ev> = HashMap::new();
-    let mut seq: u64 = 0;
-    let mut avail: HashMap<NodeId, Cycle> = HashMap::new();
+    let mut events: Slab<Ev> = Slab::new();
+    let mut avail = Avail::new(m.nodes.len(), me, t0);
     // Copies of each tracked packet currently scheduled for delivery: a
     // retransmit timer that fires while one is pending is *spurious* (the
     // RTO undershot the queueing round trip, not a loss).
     let mut pending: HashMap<PacketId, usize> = HashMap::new();
-    avail.insert(me, t0);
     let mut out = Routed {
         actions: Vec::new(),
         charges: Vec::new(),
@@ -545,22 +594,19 @@ pub(crate) fn route_timed(
     // retransmission timer. `retrans_of` carries the packet id and retry
     // count when this is a re-send of an already-registered packet.
     let send_one = |m: &mut DsmMachine,
-                    avail: &mut HashMap<NodeId, Cycle>,
+                    avail: &mut Avail,
                     heap: &mut BinaryHeap<Reverse<(Cycle, u64)>>,
-                    events: &mut HashMap<u64, Ev>,
-                    seq: &mut u64,
+                    events: &mut Slab<Ev>,
                     pending: &mut HashMap<PacketId, usize>,
                     charges: &mut Vec<(NodeId, Cycle)>,
                     env: Envelope,
                     retrans_of: Option<(PacketId, u32)>| {
         let from = env.from;
         let to = env.to;
-        let t_out = *avail.entry(from).or_insert(t0);
+        let t_out = avail.sender(from, t0);
         if from == to {
             // Self-sends take the loopback path: no wire, no loss.
-            heap.push(Reverse((t_out, *seq)));
-            events.insert(*seq, Ev::Deliver(env, None));
-            *seq += 1;
+            heap.push(Reverse((t_out, events.insert(Ev::Deliver(env, None)))));
             return;
         }
         let body = env.msg.body_bytes().total();
@@ -574,7 +620,7 @@ pub(crate) fn route_timed(
         let to_down = m.down_at(to, depart);
         if !from_down {
             charges.push((from, send_c));
-            avail.insert(from, depart);
+            avail.set(from, depart);
             m.traffic.record(&env, m.header_bytes);
             m.sink.emit(Event {
                 track: Track::Node(from as u32),
@@ -602,9 +648,8 @@ pub(crate) fn route_timed(
         if let Some(pid) = pid {
             let rel = m.rel.as_ref().expect("tracked packet implies reliability");
             let expire = depart + rel.rto(&m.policy, from, to, attempt);
-            heap.push(Reverse((expire, *seq)));
-            events.insert(*seq, Ev::Retry(env.clone(), pid));
-            *seq += 1;
+            let key = events.insert(Ev::Retry(env.clone(), pid));
+            heap.push(Reverse((expire, key)));
         }
         if from_down || to_down {
             // The copy never arrives: a dead sender transmits nothing; a
@@ -637,9 +682,8 @@ pub(crate) fn route_timed(
         }
         for arrive in arrivals {
             charges.push((to, recv_c));
-            heap.push(Reverse((arrive + recv_c, *seq)));
-            events.insert(*seq, Ev::Deliver(env.clone(), pid));
-            *seq += 1;
+            let key = events.insert(Ev::Deliver(env.clone(), pid));
+            heap.push(Reverse((arrive + recv_c, key)));
             if let Some(pid) = pid {
                 *pending.entry(pid).or_insert(0) += 1;
             }
@@ -652,7 +696,6 @@ pub(crate) fn route_timed(
             &mut avail,
             &mut heap,
             &mut events,
-            &mut seq,
             &mut pending,
             &mut out.charges,
             env,
@@ -661,7 +704,7 @@ pub(crate) fn route_timed(
     }
 
     while let Some(Reverse((t, s))) = heap.pop() {
-        let env = match events.remove(&s).expect("scheduled event") {
+        let env = match events.remove(s).expect("scheduled event") {
             Ev::Retry(env, pid) => {
                 if !m.rel.as_ref().is_some_and(|r| r.is_in_flight(pid)) {
                     continue; // acked in the meantime: stale timer
@@ -694,14 +737,13 @@ pub(crate) fn route_timed(
                                 r
                             }
                         };
-                        let a = avail.entry(env.from).or_insert(t0);
-                        *a = (*a).max(t_rec);
+                        let a = avail.sender(env.from, t0);
+                        avail.set(env.from, a.max(t_rec));
                         send_one(
                             m,
                             &mut avail,
                             &mut heap,
                             &mut events,
-                            &mut seq,
                             &mut pending,
                             &mut out.charges,
                             env,
@@ -725,14 +767,13 @@ pub(crate) fn route_timed(
                     kind: EventKind::Retransmit { attempt: retries },
                 });
                 // The sender is free no earlier than the timer expiry.
-                let a = avail.entry(env.from).or_insert(t0);
-                *a = (*a).max(t);
+                let a = avail.sender(env.from, t0);
+                avail.set(env.from, a.max(t));
                 send_one(
                     m,
                     &mut avail,
                     &mut heap,
                     &mut events,
-                    &mut seq,
                     &mut pending,
                     &mut out.charges,
                     env,
@@ -755,7 +796,7 @@ pub(crate) fn route_timed(
             }
         };
         let to = env.to;
-        let begin = t.max(avail.get(&to).copied().unwrap_or(0));
+        let begin = t.max(avail.get(to).unwrap_or(0));
         let arrived = (m.sink.enabled() && env.from != to).then(|| EventKind::MsgArrive {
             from: env.from as u32,
             class: env.msg.class().bit(),
@@ -805,7 +846,7 @@ pub(crate) fn route_timed(
             out.charges.push((to, service));
         }
         let ready = begin + service;
-        avail.insert(to, ready);
+        avail.set(to, ready);
         for a in handled.actions {
             // A barrier release at its manager is the checkpoint cut: every
             // node has arrived, so all interval state is closed — the same
@@ -825,7 +866,6 @@ pub(crate) fn route_timed(
                 &mut avail,
                 &mut heap,
                 &mut events,
-                &mut seq,
                 &mut pending,
                 &mut out.charges,
                 next,
@@ -841,7 +881,7 @@ pub(crate) fn route_timed(
             "cascade quiesced with unacked packets in flight"
         );
     }
-    out.initiator_busy_until = avail.get(&me).copied().unwrap_or(t0);
+    out.initiator_busy_until = avail.get(me).unwrap_or(t0);
     out
 }
 

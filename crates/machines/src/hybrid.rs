@@ -17,6 +17,8 @@ use tmk_parmacs::{InitWriter, System};
 use tmk_sim::{Ctx, Cycle, Op};
 use tmk_trace::{Category, Event, EventKind, Sink, Track};
 
+use crate::dsm::{Avail, Slab};
+
 /// Parameters of the hybrid machine.
 #[derive(Debug, Clone)]
 pub struct HsParams {
@@ -212,30 +214,26 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
     use std::collections::BinaryHeap;
 
     let mut heap: BinaryHeap<Reverse<(Cycle, u64)>> = BinaryHeap::new();
-    let mut inflight: HashMap<u64, Envelope> = HashMap::new();
-    let mut seq: u64 = 0;
-    let mut avail: HashMap<NodeId, Cycle> = HashMap::new();
-    avail.insert(me_node, t0);
+    let mut inflight: Slab<Envelope> = Slab::new();
+    let mut avail = Avail::new(m.dsm.len(), me_node, t0);
     let mut out = Routed {
         actions: Vec::new(),
         charges: Vec::new(),
         initiator_busy_until: t0,
     };
 
-    #[allow(clippy::too_many_arguments)]
     fn enqueue(
         m: &mut HsMachine,
-        avail: &mut HashMap<NodeId, Cycle>,
-        heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-        inflight: &mut HashMap<u64, Envelope>,
-        seq: &mut u64,
+        avail: &mut Avail,
+        heap: &mut BinaryHeap<Reverse<(Cycle, u64)>>,
+        inflight: &mut Slab<Envelope>,
         charges: &mut Vec<(NodeId, Cycle)>,
         t0: Cycle,
         env: Envelope,
     ) {
         let from = env.from;
         let to = env.to;
-        let t_out = *avail.entry(from).or_insert(t0);
+        let t_out = avail.sender(from, t0);
         let deliver_at = if from == to {
             t_out
         } else {
@@ -244,7 +242,7 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
             let recv_c = m.params.so.recv_cycles(body);
             charges.push((from, send_c));
             charges.push((to, recv_c));
-            avail.insert(from, t_out + send_c);
+            avail.set(from, t_out + send_c);
             let wire = m.header_bytes + body;
             m.traffic.record(&env, m.header_bytes);
             m.sink.emit(Event {
@@ -268,9 +266,7 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
             let arrive = m.net.transfer(from, to, wire, t_out + send_c);
             arrive + recv_c
         };
-        heap.push(std::cmp::Reverse((deliver_at, *seq)));
-        inflight.insert(*seq, env);
-        *seq += 1;
+        heap.push(Reverse((deliver_at, inflight.insert(env))));
     }
 
     for env in sends {
@@ -279,7 +275,6 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
             &mut avail,
             &mut heap,
             &mut inflight,
-            &mut seq,
             &mut out.charges,
             t0,
             env,
@@ -287,9 +282,9 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
     }
 
     while let Some(Reverse((t, s))) = heap.pop() {
-        let env = inflight.remove(&s).expect("in-flight message");
+        let env = inflight.remove(s).expect("in-flight message");
         let to = env.to;
-        let begin = t.max(avail.get(&to).copied().unwrap_or(0));
+        let begin = t.max(avail.get(to).unwrap_or(0));
         let arrived = (m.sink.enabled() && env.from != to).then(|| EventKind::MsgArrive {
             from: env.from as u32,
             class: env.msg.class().bit(),
@@ -339,7 +334,7 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
             out.charges.push((to, service));
         }
         let ready = begin + service;
-        avail.insert(to, ready);
+        avail.set(to, ready);
         for a in handled.actions {
             out.actions.push((to, a, ready));
         }
@@ -349,7 +344,6 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
                 &mut avail,
                 &mut heap,
                 &mut inflight,
-                &mut seq,
                 &mut out.charges,
                 t0,
                 next,
@@ -357,7 +351,7 @@ fn route_timed(m: &mut HsMachine, me_node: NodeId, t0: Cycle, sends: Vec<Envelop
         }
     }
 
-    out.initiator_busy_until = avail.get(&me_node).copied().unwrap_or(t0);
+    out.initiator_busy_until = avail.get(me_node).unwrap_or(t0);
     out
 }
 

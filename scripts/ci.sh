@@ -9,6 +9,11 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== warnings: every target of the workspace builds warning-free =="
+# Its own target dir, so the changed RUSTFLAGS do not invalidate the
+# release build above.
+RUSTFLAGS=-Dwarnings cargo check --workspace --all-targets --target-dir target/check
+
 echo "== smoke: quick-tier suite =="
 mkdir -p target/smoke
 ./target/release/suite --quick --jobs "${JOBS:-$(nproc 2>/dev/null || echo 1)}" \
